@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import networkx as nx
-
 from .coxeter import coxeter_number, is_affine, is_minus_identity, is_spherical, longest_element
 from .graph import DefiningGraph
 from .words import ArtinWord
@@ -188,15 +186,7 @@ def is_fc_type(g: DefiningGraph) -> bool:
     Principal submatrices of a positive definite form are positive definite,
     so it is enough to check maximal cliques.
     """
-    if len(g.vertices) > MAX_VERTICES:
-        raise ValueError(f"FC test guard: at most {MAX_VERTICES} vertices")
-    aux = nx.Graph()
-    aux.add_nodes_from(g.vertices)
-    aux.add_edges_from((g.vertices[i], g.vertices[j]) for i, j, _ in g.edges)
-    for clique in nx.find_cliques(aux):
-        if not is_spherical(g.induced(clique)):
-            return False
-    return True
+    return all(is_spherical(g.induced(clique)) for clique in g.maximal_cliques())
 
 
 def spherical_center_generator(g: DefiningGraph) -> ArtinWord:

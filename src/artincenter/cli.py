@@ -14,11 +14,10 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .analyzer import establish
+from .analyzer import MAX_VERTICES, establish
 from .coxeter import coset_decompose, theta
 from .dihedral import dihedral_equal, free_reduce, garside_nf
 from .graph import INF, DefiningGraph, parse_graph
@@ -77,36 +76,28 @@ def cmd_analyze(args) -> int:
             print(f"no .graph files in {args.dir}", file=sys.stderr)
             return EXIT_ERROR
         worst = EXIT_OK
-
-        def run(path):
+        saw_error = False
+        summary = []
+        for path in paths:
             try:
-                envelope, text, code = _analyze_one(path, args.max_vertices)
+                envelope, _text, code = _analyze_one(path, args.max_vertices)
                 out = Path(path).with_suffix(".report.json")
                 fd, tmp = tempfile.mkstemp(dir=str(out.parent), suffix=".tmp")
                 with os.fdopen(fd, "w") as fh:
                     json.dump(envelope, fh, indent=2, sort_keys=True)
                 os.replace(tmp, out)
-                return path, envelope, text, code, None
-            except Exception as exc:  # pragma: no cover - exercised via bad input
-                return path, None, None, EXIT_ERROR, str(exc)
-
-        with ThreadPoolExecutor(max_workers=min(8, len(paths))) as pool:
-            results = list(pool.map(run, paths))
-        summary = []
-        saw_error = False
-        for path, envelope, _text, code, err in results:
-            saw_error = saw_error or code == EXIT_ERROR
+            except Exception as exc:  # one bad file must not stop the batch
+                saw_error = True
+                print(f"{path}: error: {exc}", file=sys.stderr)
+                summary.append({"path": path, "error": str(exc)})
+                continue
             worst = max(worst, code)
-            if err is not None:
-                print(f"{path}: error: {err}", file=sys.stderr)
-                summary.append({"path": path, "error": err})
-            else:
-                established = envelope["result"]["established"]
-                rank = envelope["result"]["center_rank"]
-                summary.append({"path": path, "established": established, "center_rank": rank})
-                if not args.json:
-                    status = "established" if established else "unknown"
-                    print(f"{path}: {status}, center rank {rank}")
+            established = envelope["result"]["established"]
+            rank = envelope["result"]["center_rank"]
+            summary.append({"path": path, "established": established, "center_rank": rank})
+            if not args.json:
+                status = "established" if established else "unknown"
+                print(f"{path}: {status}, center rank {rank}")
         if args.json:
             print(json.dumps(summary, indent=2, sort_keys=True))
         return EXIT_ERROR if saw_error else worst
@@ -289,7 +280,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", nargs="?", help="graph file")
     p.add_argument("--dir", help="analyze every .graph file in a directory")
     p.add_argument(
-        "--max-vertices", type=int, default=16, help="vertex-count guard (default 16)"
+        "--max-vertices",
+        type=int,
+        default=MAX_VERTICES,
+        help=f"vertex-count guard (default {MAX_VERTICES})",
     )
     common(p)
     p.set_defaults(func=cmd_analyze)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .graph import DefiningGraph
@@ -323,22 +322,18 @@ def is_spherical(g: DefiningGraph) -> bool:
 
 def is_affine(g: DefiningGraph) -> bool:
     """True iff the Gram form is positive semidefinite of rank n-1 (Euclidean
-    type for an irreducible graph).  Checks every principal minor exactly."""
-    n = len(g.vertices)
-    if n > 16:
-        raise ValueError("affine test guard: at most 16 vertices")
-    if n == 0:
+    type for an irreducible graph).
+
+    That holds iff the determinant vanishes and some vertex-deleted subgraph
+    is spherical: interlacing with a positive definite principal submatrix of
+    size n-1 leaves at most one non-positive eigenvalue, and conversely
+    deleting a vertex where a kernel vector is nonzero leaves a positive
+    definite form.
+    """
+    verts = g.vertices
+    if not any(is_spherical(g.induced(verts[:i] + verts[i + 1 :])) for i in range(len(verts))):
         return False
-    b = gram_matrix(g)
-    ctx = field_of(g)
-    indices = range(n)
-    for size in range(1, n + 1):
-        for subset in combinations(indices, size):
-            sub = [[b[i][j] for j in subset] for i in subset]
-            if _det(sub, ctx).sign() < 0:
-                return False
-    full = _det(b, ctx)
-    return full.is_zero() and _rank(b, ctx) == n - 1
+    return _det(gram_matrix(g), field_of(g)).is_zero()
 
 
 def coxeter_number(g: DefiningGraph) -> int:

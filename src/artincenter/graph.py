@@ -27,7 +27,7 @@ class DefiningGraph:
     """Immutable labelled graph; construct via :func:`make_graph` or :func:`parse_graph`."""
 
     vertices: tuple[str, ...]
-    edges: tuple[tuple[int, int, int], ...]  # (i, j, m) with i < j, m finite
+    edges: tuple[tuple[int, int, int], ...]  # sorted, distinct (i, j, m) with i < j, m finite
     _index: dict[str, int] = field(init=False, repr=False, compare=False, hash=False)
     _labels: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False, hash=False)
 
@@ -51,6 +51,9 @@ class DefiningGraph:
                     f"conflicting labels for ({self.vertices[i]}, {self.vertices[j]})"
                 )
             labels[(i, j)] = m
+        # One stored form per graph, so equality and hashing ignore edge order
+        # and repeated lines.
+        object.__setattr__(self, "edges", tuple(sorted((i, j, m) for (i, j), m in labels.items())))
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_labels", labels)
 
@@ -112,6 +115,27 @@ class DefiningGraph:
         n = len(self.vertices)
         return len(self._labels) == n * (n - 1) // 2
 
+    def maximal_cliques(self) -> Iterator[tuple[str, ...]]:
+        """Every maximal set of pairwise adjacent vertices, each in declaration
+        order.  The pivoting Bron-Kerbosch search runs in declaration order, so
+        the graph alone fixes the order in which cliques come."""
+        adjacent: list[set[int]] = [set() for _ in self.vertices]
+        for i, j, _ in self.edges:
+            adjacent[i].add(j)
+            adjacent[j].add(i)
+
+        def extend(clique, candidates, excluded):
+            if not candidates and not excluded:
+                yield tuple(self.vertices[i] for i in sorted(clique))
+                return
+            pivot = max(sorted(candidates | excluded), key=lambda u: len(candidates & adjacent[u]))
+            for v in sorted(candidates - adjacent[pivot]):
+                yield from extend(clique + (v,), candidates & adjacent[v], excluded & adjacent[v])
+                candidates = candidates - {v}
+                excluded = excluded | {v}
+
+        return extend((), set(range(len(self.vertices))), set())
+
     def join_factors(self) -> list["DefiningGraph"]:
         """Maximal decomposition as a join with all cross labels equal to 2.
 
@@ -164,7 +188,7 @@ class DefiningGraph:
 
     def to_text(self) -> str:
         lines = ["vertices: " + " ".join(self.vertices)]
-        for i, j, m in sorted(self.edges):
+        for i, j, m in self.edges:
             lines.append(f"edge {self.vertices[i]} {self.vertices[j]} {m}")
         return "\n".join(lines) + "\n"
 
@@ -241,9 +265,3 @@ def parse_graph(text: str) -> DefiningGraph:
         seen[key] = m
     return make_graph(vertices, edges)
 
-
-def iter_pairs(g: DefiningGraph) -> Iterator[tuple[str, str]]:
-    """All unordered vertex pairs in declaration order."""
-    for i in range(len(g.vertices)):
-        for j in range(i + 1, len(g.vertices)):
-            yield g.vertices[i], g.vertices[j]

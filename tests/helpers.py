@@ -2,16 +2,28 @@
 
 Oracles here are deliberately independent of the code paths they check:
 BFS over representation matrices for lengths and group orders, the spherical
-triangle-group order formula for expected sizes, and a braid-relation
-rewriting closure for positive-word equality in rank 2.
+triangle-group order formula for expected sizes, a braid-relation rewriting
+closure for positive-word equality in rank 2, and exhaustive sweeps over
+principal minors and vertex subsets for the Euclidean and FC-type tests.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
-from artincenter.coxeter import CoxeterElement, identity, simple_reflection, theta
+from artincenter.coxeter import (
+    CoxeterElement,
+    _det,
+    _rank,
+    field_of,
+    gram_matrix,
+    identity,
+    is_spherical,
+    simple_reflection,
+    theta,
+)
 from artincenter.dihedral import dihedral_equal
 from artincenter.graph import INF, DefiningGraph, make_graph
 from artincenter.words import ArtinWord, abelianize
@@ -61,6 +73,32 @@ def expected_finite_order(g: DefiningGraph) -> int:
         assert order.denominator == 1
         return int(order)
     raise ValueError("only rank <= 3 supported")
+
+
+def affine_by_minors(g: DefiningGraph) -> bool:
+    """Positive semidefinite of rank n-1, from the signs of every principal
+    minor and an exact rank; exponential (3^n), for small graphs only."""
+    n = len(g.vertices)
+    if n == 0:
+        return False
+    b = gram_matrix(g)
+    ctx = field_of(g)
+    for size in range(1, n + 1):
+        for subset in combinations(range(n), size):
+            sub = [[b[i][j] for j in subset] for i in subset]
+            if _det(sub, ctx).sign() < 0:
+                return False
+    return _det(b, ctx).is_zero() and _rank(b, ctx) == n - 1
+
+
+def fc_by_subsets(g: DefiningGraph) -> bool:
+    """Every vertex subset that is a clique induces a spherical subgraph."""
+    for size in range(2, len(g.vertices) + 1):
+        for subset in combinations(g.vertices, size):
+            if all(g.adjacent(u, v) for u, v in combinations(subset, 2)):
+                if not is_spherical(g.induced(subset)):
+                    return False
+    return True
 
 
 def dihedral_rewrite_closure(m: int, letters: tuple[str, ...]) -> set[tuple[str, ...]]:
@@ -141,6 +179,23 @@ def words_equal_in_subgroup(sub: DefiningGraph, a: ArtinWord, b: ArtinWord) -> b
 
 
 _NAMES = "abcdefghijklmnop"
+
+
+def all_graphs(n: int, labels: tuple) -> list[DefiningGraph]:
+    """Every labelling of the pairs of n vertices by the given labels."""
+    verts = list(_NAMES[:n])
+    pairs = list(combinations(verts, 2))
+    return [
+        make_graph(verts, [(u, v, m) for (u, v), m in zip(pairs, ms) if m != INF])
+        for ms in product(labels, repeat=len(pairs))
+    ]
+
+
+def small_graphs() -> list[DefiningGraph]:
+    """The exhaustive sweep: every graph on at most 3 vertices with labels
+    2..6 and inf, and on 4 vertices with labels 2, 3, 4 and inf."""
+    graphs = [g for n in range(4) for g in all_graphs(n, (2, 3, 4, 5, 6, INF))]
+    return graphs + all_graphs(4, (2, 3, 4, INF))
 
 
 def random_graph(

@@ -18,7 +18,13 @@ from artincenter.coxeter import is_affine, is_spherical
 from artincenter.dihedral import dihedral_center_generator, dihedral_equal
 from artincenter.graph import INF, make_graph
 
-from helpers import random_cone_free_graph, random_graph, random_single_cone_graph
+from helpers import (
+    fc_by_subsets,
+    random_cone_free_graph,
+    random_graph,
+    random_single_cone_graph,
+    small_graphs,
+)
 
 CONE_FIXTURE = make_graph(
     ["t", "a", "b", "c"],
@@ -48,6 +54,11 @@ def test_is_fc_type():
     tri333 = make_graph("abc", [("a", "b", 3), ("b", "c", 3), ("a", "c", 3)])
     assert not is_fc_type(tri333)
     assert is_fc_type(make_graph("abc", []))
+
+
+def test_is_fc_type_matches_subset_oracle():
+    for g in small_graphs():
+        assert is_fc_type(g) == fc_by_subsets(g), g
 
 
 def test_spherical_center_generator_examples():

@@ -67,6 +67,19 @@ def test_analyze_max_vertices_flag(capsys, tmp_path):
     big.write_text("vertices: a b c d e\n")
     code, _, err = run(capsys, "analyze", big, "--max-vertices", "4")
     assert code == 1 and "guard" in err
+    # the flag is the only vertex guard: the 17-vertex affine cycle A~16
+    # (labels 3 around the cycle, explicit 2 elsewhere) passes with 20
+    names = [f"c{i}" for i in range(17)]
+    lines = ["vertices: " + " ".join(names)]
+    for i in range(17):
+        for j in range(i + 1, 17):
+            m = 3 if j == i + 1 or (i, j) == (0, 16) else 2
+            lines.append(f"edge {names[i]} {names[j]} {m}")
+    cycle = tmp_path / "cycle.graph"
+    cycle.write_text("\n".join(lines) + "\n")
+    code, env = run_json(capsys, "analyze", cycle, "--max-vertices", "20")
+    assert code == 0
+    assert [f["reason"] for f in env["result"]["factors"]] == ["EUCLIDEAN"]
 
 
 def test_analyze_text_and_json_agree(capsys):

@@ -17,7 +17,7 @@ from artincenter.coxeter import (
 from artincenter.graph import INF, make_graph
 from artincenter.words import ArtinWord
 
-from helpers import bfs_enumerate, expected_finite_order, random_word
+from helpers import affine_by_minors, bfs_enumerate, expected_finite_order, random_word, small_graphs
 
 EDGE3 = make_graph(["s", "t"], [("s", "t", 3)])
 EDGE4 = make_graph(["s", "t"], [("s", "t", 4)])
@@ -200,6 +200,11 @@ def test_is_affine_examples():
     # indefinite examples are neither
     bad = make_graph("abc", [("a", "b", 3), ("b", "c", 3)])
     assert not is_spherical(bad) and not is_affine(bad)
+
+
+def test_is_affine_matches_minor_oracle():
+    for g in small_graphs():
+        assert is_affine(g) == affine_by_minors(g), g
 
 
 def test_coxeter_numbers():

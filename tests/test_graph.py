@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from artincenter.coxeter import simple_reflection
 from artincenter.graph import (
     INF,
     DefiningGraph,
@@ -56,6 +58,16 @@ def test_parse_errors(text):
 def test_duplicate_identical_edge_is_idempotent():
     g = parse_graph("vertices: a b\nedge a b 3\nedge a b 3\n")
     assert g.label("a", "b") == 3
+    text = (
+        "vertices: v0 v1 v2 v3 v4\n"
+        "edge v0 v2 5\nedge v0 v3 3\nedge v0 v4 2\nedge v1 v2 5\nedge v1 v3 2\n"
+        "edge v1 v4 5\nedge v2 v3 5\nedge v2 v4 6\nedge v3 v4 2\n"
+    )
+    once = parse_graph(text)
+    twice = parse_graph(text + "edge v0 v2 5\n")
+    assert twice == once and hash(twice) == hash(once)
+    # a repeated line is not a second neighbour: v0 is not adjacent to v1
+    assert twice.cone_points() == once.cone_points() == ("v2", "v3", "v4")
 
 
 def test_serialize_round_trip():
@@ -141,6 +153,26 @@ def test_is_clique():
     assert tri.cone_points() == tri.vertices
 
 
+def test_maximal_cliques_match_subset_search():
+    rng = random.Random(11)
+    for _ in range(80):
+        n = rng.randrange(0, 8)
+        verts = list("abcdefgh"[:n])
+        g = make_graph(
+            verts,
+            [(u, v, 2) for k, u in enumerate(verts) for v in verts[k + 1 :] if rng.random() < 0.6],
+        )
+        cliques = [
+            c
+            for size in range(n + 1)
+            for c in itertools.combinations(verts, size)
+            if g.induced(c).is_clique()
+        ]
+        maximal = {c for c in cliques if not any(set(c) < set(d) for d in cliques)}
+        found = list(g.maximal_cliques())
+        assert len(found) == len(set(found)) and set(found) == maximal
+
+
 def test_amalgam_split():
     path = make_graph(["a", "b", "c"], [("a", "b", 3), ("b", "c", 3)])
     left, base, right = path.amalgam_split("a", "c")
@@ -157,6 +189,16 @@ def test_amalgam_split():
     tri = make_graph(["a", "b", "c"], [("a", "b", 3), ("b", "c", 4), ("a", "c", 5)])
     with pytest.raises(ValueError):
         tri.amalgam_split("a", "b")
+
+
+def test_edge_order_does_not_matter():
+    edges = [("a", "b", 3), ("b", "c", 4), ("a", "c", 2)]
+    g = make_graph("abc", edges)
+    h = make_graph("abc", edges[::-1])
+    assert g == h and hash(g) == hash(h)
+    # elements built from either are elements of one Coxeter group
+    product = simple_reflection(g, "a") * simple_reflection(h, "b")
+    assert product.reduced_word() == ("a", "b")
 
 
 def test_graph_is_hashable_and_immutable():
