@@ -21,7 +21,7 @@ from .analyzer import MAX_VERTICES, establish
 from .coxeter import coset_decompose, theta
 from .dihedral import dihedral_equal, free_reduce, garside_nf
 from .graph import INF, DefiningGraph, parse_graph
-from .retraction import retract_trace
+from .retraction import retract, retract_trace
 from .words import ArtinWord, abelianize, is_pure, parse_word
 
 EXIT_OK = 0
@@ -114,14 +114,15 @@ def cmd_retract(args) -> int:
     g, info = _load_graph(args.graph)
     subset = g.subset(_split_subset(args.subset))
     word = parse_word(args.word, g)
-    trace = retract_trace(g, subset, word)
+    trace = retract_trace(g, subset, word) if args.trace else None
+    output = retract(g, subset, word) if trace is None else trace.output
     result = {
         "subset": list(subset),
         "word": args.word,
-        "output": trace.output.to_text(),
+        "output": output.to_text(),
     }
-    text_lines = [f"retraction: {_word_text(trace.output)}"]
-    if args.trace:
+    text_lines = [f"retraction: {_word_text(output)}"]
+    if trace is not None:
         result["trace"] = [
             {
                 "position": s.position,

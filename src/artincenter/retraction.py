@@ -1,17 +1,17 @@
 """Letter-by-letter retraction of Artin words onto a standard subgroup.
 
 Processing a word v_1^(e_1) ... v_p^(e_p) over the whole graph, the map
-tracks the image u_i of each positive prefix in the Coxeter group and its
-coset decomposition u_i = (subgroup part) * (reduced part) relative to the
-target subset X.  Each letter contributes the reflection obtained by
-conjugating its generator by the current reduced part (the previous one for a
-positive letter, the new one for a negative letter).  Letters whose
-reflection is a simple reflection of X survive, with their original sign;
-all other letters vanish.
+keeps the X-reduced part w of the Coxeter image of the prefix read so far,
+relative to the target subset X.  By Deodhar's lemma (Invent. Math. 39
+(1977)), right-multiplying w by the next generator s either stays X-reduced
+or equals s_x * w for exactly one x in X, which happens exactly when
+w s w^-1 = s_x.  So the coset split of w * s strips at most one generator,
+and the letter survives as x, with its original sign, exactly when the split
+strips x; all other letters vanish.  Each letter costs one coset split.
 
-The reduced part is maintained incrementally: right-multiplying a reduced
-coset representative by a generator either stays reduced or strips exactly
-one descent from X, so each letter costs a bounded amount of matrix work.
+The trace adds the audit: the subgroup part of each prefix image, and the
+reflection w s w^-1 that the letter is tested against, built only when a
+trace is asked for.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .coxeter import (
+    CosetDecomposition,
     CoxeterElement,
     _mat_mul,
     coset_decompose,
@@ -47,10 +48,9 @@ class RetractionStep:
     position: int                       # 0-based letter index
     vertex: str
     exponent: int
-    prefix_image: CoxeterElement        # image of the prefix through this letter
     subgroup_part: CoxeterElement       # part of the prefix image inside W_X
     reduced_part: CoxeterElement        # X-reduced part of the prefix image
-    reflection: CoxeterElement          # conjugated generator tested against X
+    reflection: CoxeterElement          # audit only: w s w^-1, w the prior reduced part
     emitted: tuple[str, int] | None     # surviving output letter, if any
 
 
@@ -81,31 +81,15 @@ class RetractionTrace:
 
 def _steps(
     g: DefiningGraph, subset: tuple[str, ...], word: ArtinWord
-) -> Iterator[RetractionStep]:
-    prefix = identity(g)
-    v_part = identity(g)
+) -> Iterator[tuple[CoxeterElement, CosetDecomposition, tuple[str, int] | None]]:
+    """Per letter: the reduced part before it, the coset split after it, and
+    the emitted letter (the generator the split stripped, if any)."""
     w_part = identity(g)
-    for pos, (vertex, exponent) in enumerate(word.letters):
-        refl_gen = simple_reflection(g, vertex)
-        prefix = prefix * refl_gen
-        prev_w = w_part
-        dec = coset_decompose(prev_w * refl_gen, subset)
-        v_part = v_part * dec.subgroup_part
+    for vertex, exponent in word.letters:
+        dec = coset_decompose(w_part * simple_reflection(g, vertex), subset)
+        witness = dec.subgroup_part.match_simple_reflection(subset)
+        yield w_part, dec, (witness, exponent) if witness is not None else None
         w_part = dec.reduced_part
-        conjugator = prev_w if exponent == 1 else w_part
-        reflection = _conjugated_reflection(conjugator, refl_gen)
-        witness = reflection.match_simple_reflection(subset)
-        emitted = (witness, exponent) if witness is not None else None
-        yield RetractionStep(
-            position=pos,
-            vertex=vertex,
-            exponent=exponent,
-            prefix_image=prefix,
-            subgroup_part=v_part,
-            reduced_part=w_part,
-            reflection=reflection,
-            emitted=emitted,
-        )
 
 
 def retract(g: DefiningGraph, subset: Iterable[str], word: ArtinWord) -> ArtinWord:
@@ -117,10 +101,7 @@ def retract(g: DefiningGraph, subset: Iterable[str], word: ArtinWord) -> ArtinWo
     x_set = g.subset(subset)
     for v, _ in word.letters:
         g.index(v)
-    letters = tuple(
-        step.emitted for step in _steps(g, x_set, word) if step.emitted is not None
-    )
-    return ArtinWord(letters)
+    return ArtinWord(tuple(e for _, _, e in _steps(g, x_set, word) if e is not None))
 
 
 def retract_trace(
@@ -130,6 +111,22 @@ def retract_trace(
     x_set = g.subset(subset)
     for v, _ in word.letters:
         g.index(v)
-    steps = tuple(_steps(g, x_set, word))
+    steps = []
+    v_part = identity(g)
+    for pos, ((vertex, exponent), (prev_w, dec, emitted)) in enumerate(
+        zip(word.letters, _steps(g, x_set, word))
+    ):
+        v_part = v_part * dec.subgroup_part
+        steps.append(
+            RetractionStep(
+                position=pos,
+                vertex=vertex,
+                exponent=exponent,
+                subgroup_part=v_part,
+                reduced_part=dec.reduced_part,
+                reflection=_conjugated_reflection(prev_w, simple_reflection(g, vertex)),
+                emitted=emitted,
+            )
+        )
     output = ArtinWord(tuple(s.emitted for s in steps if s.emitted is not None))
-    return RetractionTrace(graph=g, subset=x_set, word=word, steps=steps, output=output)
+    return RetractionTrace(graph=g, subset=x_set, word=word, steps=tuple(steps), output=output)

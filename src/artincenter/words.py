@@ -97,10 +97,9 @@ def parse_word(text: str, g: DefiningGraph) -> ArtinWord:
         exp = 1 if exp_text is None else int(exp_text)
         if exp == 0:
             raise WordSyntaxError(f"zero exponent in {token!r}")
-        sign = 1 if exp > 0 else -1
-        letters.extend([(v, sign)] * abs(exp))
-        if len(letters) > MAX_LETTERS:
+        if len(letters) + abs(exp) > MAX_LETTERS:
             raise WordSyntaxError(f"word exceeds the {MAX_LETTERS}-letter guard")
+        letters.extend([(v, 1 if exp > 0 else -1)] * abs(exp))
     return ArtinWord(tuple(letters))
 
 

@@ -3,8 +3,9 @@
 Oracles here are deliberately independent of the code paths they check:
 BFS over representation matrices for lengths and group orders, the spherical
 triangle-group order formula for expected sizes, a braid-relation rewriting
-closure for positive-word equality in rank 2, and exhaustive sweeps over
-principal minors and vertex subsets for the Euclidean and FC-type tests.
+closure for positive-word equality in rank 2, exhaustive sweeps over
+principal minors and vertex subsets for the Euclidean and FC-type tests, and
+retraction by explicit conjugation of each letter's generator.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from artincenter.coxeter import (
     CoxeterElement,
     _det,
     _rank,
+    coset_decompose,
     field_of,
     gram_matrix,
     identity,
@@ -89,6 +91,32 @@ def affine_by_minors(g: DefiningGraph) -> bool:
             if _det(sub, ctx).sign() < 0:
                 return False
     return _det(b, ctx).is_zero() and _rank(b, ctx) == n - 1
+
+
+def retract_by_conjugation(
+    g: DefiningGraph, subset: tuple[str, ...], word: ArtinWord
+) -> list[tuple[CoxeterElement, CoxeterElement, CoxeterElement, tuple[str, int] | None]]:
+    """Per letter (subgroup part, reduced part, reflection, emitted letter).
+
+    Tracks the image of each prefix and splits it from scratch; the letter's
+    generator is conjugated by the reduced part before it (positive letter) or
+    after it (negative letter), and the letter survives iff that reflection is
+    a simple reflection of the subset.
+    """
+    prefix = identity(g)
+    prev_reduced = identity(g)
+    steps = []
+    for v, e in word.letters:
+        refl = simple_reflection(g, v)
+        prefix = prefix * refl
+        dec = coset_decompose(prefix, subset)
+        conj = prev_reduced if e == 1 else dec.reduced_part
+        reflection = conj * refl * conj.inverse()
+        witness = reflection.match_simple_reflection(subset)
+        emitted = (witness, e) if witness is not None else None
+        steps.append((dec.subgroup_part, dec.reduced_part, reflection, emitted))
+        prev_reduced = dec.reduced_part
+    return steps
 
 
 def fc_by_subsets(g: DefiningGraph) -> bool:

@@ -1,9 +1,11 @@
 import json
 import pathlib
+import random
 
 import jsonschema
 import pytest
 
+from artincenter import retraction
 from artincenter.cli import main
 from artincenter.graph import parse_graph
 
@@ -127,6 +129,37 @@ def test_retract_command(capsys):
 def test_retract_bad_subset(capsys):
     code, _, err = run(capsys, "retract", DATA / "handtrace.graph", "s,zz", "r")
     assert code == 1
+
+
+def test_retract_trace_keeps_the_plain_output(capsys):
+    rng = random.Random(97)
+    for _ in range(4):
+        word = " ".join(
+            rng.choice("abcd") + rng.choice(("", "^-1")) for _ in range(rng.randrange(12, 17))
+        )
+        subset = ",".join(v for v in "abcd" if rng.random() < 0.5)
+        args = ("retract", DATA / "chain4.graph", subset, word)
+        _, plain = run_json(capsys, *args)
+        _, traced = run_json(capsys, *args, "--trace")
+        assert "trace" not in plain["result"]
+        assert traced["result"]["output"] == plain["result"]["output"]
+
+
+def test_plain_retract_skips_the_audit(capsys, monkeypatch):
+    def audit(*args):
+        raise AssertionError("audit built without --trace")
+
+    monkeypatch.setattr(retraction, "_conjugated_reflection", audit)
+    code, env = run_json(capsys, "retract", DATA / "handtrace.graph", "s,t", "r s r^-1")
+    assert code == 0
+    assert env["result"]["output"] == "s"
+
+
+def test_word_huge_exponent_is_an_input_error(capsys):
+    code, out, err = run(capsys, "word", DATA / "edge3.graph", "s^9223372036854775808")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "letter guard" in err
 
 
 def test_reduce_command(capsys):

@@ -1,15 +1,24 @@
 import random
 
+from artincenter import retraction
 from artincenter.coxeter import coset_decompose, identity, simple_reflection, theta
-from artincenter.graph import make_graph
+from artincenter.graph import INF, make_graph
 from artincenter.retraction import retract, retract_trace
 from artincenter.words import ArtinWord, parse_word
 
-from helpers import random_pure_word, random_subset, random_word, words_equal_in_subgroup
+from helpers import (
+    random_graph,
+    random_pure_word,
+    random_subset,
+    random_word,
+    retract_by_conjugation,
+    words_equal_in_subgroup,
+)
 
 TRI = make_graph(["r", "s", "t"], [("r", "s", 2), ("r", "t", 3), ("s", "t", 3)])
 CHAIN = make_graph(["a", "b", "c", "d"], [("a", "b", 3), ("b", "c", 2), ("c", "d", 3)])
 X_ST = ("s", "t")
+SWEEP_CASES = 220
 
 
 def test_hand_trace():
@@ -141,12 +150,12 @@ def test_trace_internal_consistency():
             for step, (v, e) in zip(trace.steps, w.letters):
                 refl = simple_reflection(g, v)
                 assert step.vertex == v and step.exponent == e
-                assert step.prefix_image == prev_prefix * refl
+                prefix = prev_prefix * refl
                 # decomposition agrees with a from-scratch coset split
-                dec = coset_decompose(step.prefix_image, x_set)
+                dec = coset_decompose(prefix, x_set)
                 assert step.subgroup_part == dec.subgroup_part
                 assert step.reduced_part == dec.reduced_part
-                assert step.subgroup_part * step.reduced_part == step.prefix_image
+                assert step.subgroup_part * step.reduced_part == prefix
                 assert set(step.subgroup_part.reduced_word()) <= set(x_set)
                 assert step.reduced_part.is_reduced_for(x_set)
                 conj = prev_reduced if e == 1 else step.reduced_part
@@ -156,11 +165,37 @@ def test_trace_internal_consistency():
                     assert step.emitted is None
                 else:
                     assert step.emitted == (witness, e)
-                prev_prefix = step.prefix_image
+                prev_prefix = prefix
                 prev_reduced = step.reduced_part
             emitted = tuple(s.emitted for s in trace.steps if s.emitted is not None)
             assert trace.output == ArtinWord(emitted)
             assert trace.output == retract(g, x_set, w)
+
+
+def test_coset_split_matches_conjugation_oracle():
+    rng = random.Random(101)
+    for _ in range(SWEEP_CASES):
+        g = random_graph(rng, rng.randrange(2, 6), (2, 3, 4, 5, 6, INF))
+        x_set = random_subset(rng, g)
+        w = random_word(rng, g, rng.randrange(0, 13))
+        expected = retract_by_conjugation(g, x_set, w)
+        trace = retract_trace(g, x_set, w)
+        got = [(s.subgroup_part, s.reduced_part, s.reflection, s.emitted) for s in trace.steps]
+        assert got == expected, (g, x_set, w)
+        oracle_output = ArtinWord(tuple(e for *_, e in expected if e is not None))
+        assert trace.output == oracle_output
+        assert retract(g, x_set, w) == oracle_output
+
+
+def test_retract_builds_no_audit(monkeypatch):
+    def audit(*args):
+        raise AssertionError("audit built by retract")
+
+    monkeypatch.setattr(retraction, "_conjugated_reflection", audit)
+    assert retract(TRI, X_ST, parse_word("r s r^-1 t^-1 r", TRI)) == parse_word("s t^-1", TRI)
+    rng = random.Random(103)
+    for _ in range(20):
+        retract(CHAIN, random_subset(rng, CHAIN), random_word(rng, CHAIN, 10))
 
 
 def test_unknown_vertices_rejected():

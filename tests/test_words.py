@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from artincenter import words
 from artincenter.coxeter import theta
 from artincenter.graph import make_graph
 from artincenter.words import ArtinWord, WordSyntaxError, abelianize, is_pure, parse_word
@@ -22,6 +23,20 @@ def test_parse_examples():
 def test_parse_errors(bad):
     with pytest.raises(WordSyntaxError):
         parse_word(bad, G)
+
+
+@pytest.mark.parametrize("text", ["s^9223372036854775808", "t s^-9223372036854775808"])
+def test_huge_exponent_fails_the_length_guard(text):
+    with pytest.raises(WordSyntaxError, match="letter guard"):
+        parse_word(text, G)
+
+
+def test_length_guard_counts_exponents_before_expanding(monkeypatch):
+    monkeypatch.setattr(words, "MAX_LETTERS", 10)
+    assert len(parse_word("s^4 t^-6", G)) == 10
+    for text in ("s^11", "s^4 t^-7", "s^10 u"):
+        with pytest.raises(WordSyntaxError, match="10-letter guard"):
+            parse_word(text, G)
 
 
 def test_letter_exponent_validation():
