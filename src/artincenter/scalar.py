@@ -10,9 +10,16 @@ excludes zero.  Nonzero algebraic numbers are bounded away from zero, so the
 ladder terminates; the 4096-bit cap is a loud guard against bugs, not a
 domain error.
 
+The modulus is the Moebius product prod_{d | 2N} (x^d - 1)^mu(2N/d),
+multiplied and divided one binomial at a time in linear passes.  Reduction
+folds through the nonzero terms of the modulus below its degree only, so
+field set-up and each reduction cost in proportion to the modulus's sparsity
+rather than its degree.
+
 All values used by the reflection representation are real; realness is a
 flag propagated through arithmetic and checked against conjugation (the
 substitution x -> x^(2N-1)) only when a value is built from raw coefficients.
+Conjugation is the only user of the table of all 2N root powers.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from mpmath import iv
@@ -31,62 +39,70 @@ class PrecisionExhaustedError(ArithmeticError):
     """Interval sign determination hit the precision cap; indicates a bug."""
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _prime_factors(n: int) -> list[int]:
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    # Exact division of integer polynomials; den is monic in our usage.
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        if c % den[-1] != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        q = c // den[-1]
-        out[k] = q
-        for t, b in enumerate(den):
-            num[k + t] -= q * b
-    if any(num):
+def _divide_by_binomial(p: list[int], d: int) -> list[int]:
+    # Exact quotient of p by x^d - 1: q[k] = q[k-d] - p[k], then the top d
+    # coefficients of p must equal those of q * x^d.
+    n = len(p) - d
+    if n < 1:
         raise ArithmeticError("non-exact polynomial division")
-    return out
+    q = [0] * n
+    for k in range(n):
+        q[k] = (q[k - d] if k >= d else 0) - p[k]
+    for k in range(n, len(p)):
+        if p[k] != (q[k - d] if k >= d else 0):
+            raise ArithmeticError("non-exact polynomial division")
+    return q
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (low to high) of the n-th cyclotomic polynomial.
 
-    Computed by the product recursion: x^n - 1 divided by the product of the
-    cyclotomic polynomials of the proper divisors of n.
+    Computed as the Moebius product prod_{d | n} (x^d - 1)^mu(n/d): only
+    squarefree n/d contribute.  The binomials with mu = +1 are multiplied in
+    first, one shift-and-subtract pass each, and those with mu = -1 are then
+    divided out exactly, so the cost is linear in the degree per binomial.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return (-1, 1)
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    den = [1]
-    for d in _divisors(n)[:-1]:
-        phi_d = cyclotomic_polynomial(d)
-        out = [0] * (len(den) + len(phi_d) - 1)
-        for i, a in enumerate(den):
-            if a:
-                for j, b in enumerate(phi_d):
-                    out[i + j] += a * b
-        den = out
-    return tuple(_poly_div_exact(num, den))
+    primes = _prime_factors(n)
+    times, over = [], []
+    for r in range(len(primes) + 1):
+        for subset in combinations(primes, r):
+            (over if r % 2 else times).append(n // math.prod(subset))
+    poly = [1]
+    for d in times:
+        shifted = [0] * d + poly
+        for k, c in enumerate(poly):
+            shifted[k] -= c
+        poly = shifted
+    for d in over:
+        poly = _divide_by_binomial(poly, d)
+    return tuple(poly)
 
 
 class FieldContext:
-    """Arithmetic context for one field: modulus, reduction tables, enclosure cache."""
+    """Arithmetic context for one field: modulus, fold terms and value caches.
+
+    The modulus is the 2N-th cyclotomic polynomial, built as a Moebius product
+    of binomials.  Reduction folds each coefficient above the degree through
+    the nonzero lower terms of the modulus only, which are few (6 to 32 for
+    the fields of degree 96 to 1152).  Root powers reduce a single monomial;
+    the table of all 2N root powers is built only for conjugation.
+    """
 
     def __init__(self, N: int):
         if N < 1:
@@ -95,10 +111,12 @@ class FieldContext:
         self.modulus = cyclotomic_polynomial(2 * N)
         self.degree = len(self.modulus) - 1
         d = self.degree
-        # x^d reduced mod the (monic) modulus; all higher powers fold through it
-        self._fold_base = tuple(-c for c in self.modulus[:d])
+        # x^d = sum(c * x^t) mod the (monic) modulus over these nonzero terms;
+        # all higher powers fold through them
+        self._fold_terms = tuple((t, -c) for t, c in enumerate(self.modulus[:d]) if c)
         self._power_table: tuple[tuple[int, ...], ...] | None = None
         self._cos_cache: dict[int, list] = {}
+        self._cos_pi_cache: dict[int, Scalar] = {}
         # sign is independent of the (positive) denominator, so it is shared
         # across all scalars with the same numerator vector
         self._sign_cache: dict[tuple[int, ...], int] = {}
@@ -129,7 +147,7 @@ class FieldContext:
     def root_power(self, k: int) -> "Scalar":
         """The exact value of the generator raised to the k-th power (any integer k)."""
         k %= 2 * self.N
-        return Scalar(self, self.power_table()[k], 1)
+        return Scalar(self, self.reduce([0] * k + [1]), 1)
 
     # -- reduction machinery ----------------------------------------------
 
@@ -139,20 +157,20 @@ class FieldContext:
         if len(nums) <= d:
             return tuple(nums) + (0,) * (d - len(nums))
         work = list(nums)
-        base = self._fold_base
+        terms = self._fold_terms
         for k in range(len(work) - 1, d - 1, -1):
             c = work[k]
             if c:
                 off = k - d
-                for t in range(d):
-                    work[off + t] += c * base[t]
+                for t, b in terms:
+                    work[off + t] += c * b
         return tuple(work[:d])
 
     def power_table(self) -> tuple[tuple[int, ...], ...]:
-        # x^k mod modulus for k in [0, 2N); used by conjugation.
+        # x^k mod modulus for k in [0, 2N); used by conjugation only.
         if self._power_table is None:
             d = self.degree
-            base = self._fold_base
+            terms = self._fold_terms
             table = []
             cur = [1] + [0] * (d - 1)
             for _ in range(2 * self.N):
@@ -160,7 +178,8 @@ class FieldContext:
                 top = cur[d - 1]
                 cur = [0] + cur[: d - 1]
                 if top:
-                    cur = [c + top * b for c, b in zip(cur, base)]
+                    for t, b in terms:
+                        cur[t] += top * b
             self._power_table = tuple(table)
         return self._power_table
 
@@ -197,7 +216,9 @@ def cos_pi_over(m: int | float, ctx: FieldContext) -> "Scalar":
     """Exact cos(pi/m) for finite m dividing N; the rational 1 for an infinite label.
 
     The infinite-label value 1 makes -cos equal to -1, the standard Gram entry
-    for a non-adjacent pair in the reflection representation.
+    for a non-adjacent pair in the reflection representation.  Finite values
+    are built once per context and shared: scalars are immutable, and their
+    lazily cached sign and realness depend on the value alone.
     """
     if m == math.inf:
         return ctx.one
@@ -205,9 +226,13 @@ def cos_pi_over(m: int | float, ctx: FieldContext) -> "Scalar":
         raise ValueError(f"label {m!r} must be an integer >= 2 or INF")
     if ctx.N % m != 0:
         raise ValueError(f"label {m} does not divide the context order N={ctx.N}")
-    k = ctx.N // m
-    val = ctx.root_power(k) + ctx.root_power(2 * ctx.N - k)
-    return Scalar(ctx, val.nums, 2 * val.den, real=True)._normalized()
+    cached = ctx._cos_pi_cache.get(m)
+    if cached is None:
+        k = ctx.N // m
+        val = ctx.root_power(k) + ctx.root_power(2 * ctx.N - k)
+        cached = Scalar(ctx, val.nums, 2 * val.den, real=True)._normalized()
+        ctx._cos_pi_cache[m] = cached
+    return cached
 
 
 def _normalize(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:

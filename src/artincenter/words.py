@@ -94,7 +94,14 @@ def parse_word(text: str, g: DefiningGraph) -> ArtinWord:
         v, exp_text = match.group(1), match.group(2)
         if v not in g:
             raise WordSyntaxError(f"unknown generator {v!r}")
-        exp = 1 if exp_text is None else int(exp_text)
+        exp = 1
+        if exp_text is not None:
+            # An exponent with more significant digits than the guard exceeds
+            # it; checked before int(), which refuses over 4300 digits.
+            magnitude = exp_text.lstrip("-").lstrip("0") or "0"
+            if len(magnitude) > len(str(MAX_LETTERS)):
+                raise WordSyntaxError(f"word exceeds the {MAX_LETTERS}-letter guard")
+            exp = -int(magnitude) if exp_text.startswith("-") else int(magnitude)
         if exp == 0:
             raise WordSyntaxError(f"zero exponent in {token!r}")
         if len(letters) + abs(exp) > MAX_LETTERS:

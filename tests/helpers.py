@@ -4,14 +4,17 @@ Oracles here are deliberately independent of the code paths they check:
 BFS over representation matrices for lengths and group orders, the spherical
 triangle-group order formula for expected sizes, a braid-relation rewriting
 closure for positive-word equality in rank 2, exhaustive sweeps over
-principal minors and vertex subsets for the Euclidean and FC-type tests, and
-retraction by explicit conjugation of each letter's generator.
+principal minors and vertex subsets for the Euclidean and FC-type tests,
+retraction by explicit conjugation of each letter's generator, cyclotomic
+polynomials by the product recursion with dense division, and reduction by a
+dense fold through every lower coefficient of the modulus.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 from artincenter.coxeter import (
@@ -117,6 +120,46 @@ def retract_by_conjugation(
         steps.append((dec.subgroup_part, dec.reduced_part, reflection, emitted))
         prev_reduced = dec.reduced_part
     return steps
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_by_division(n: int) -> tuple[int, ...]:
+    """The n-th cyclotomic polynomial, low to high: x^n - 1 divided exactly,
+    by dense long division, by the product of the cyclotomic polynomials of
+    the proper divisors of n."""
+    if n == 1:
+        return (-1, 1)
+    den = [1]
+    for d in range(1, n):
+        if n % d == 0:
+            phi_d = cyclotomic_by_division(d)
+            out = [0] * (len(den) + len(phi_d) - 1)
+            for i, a in enumerate(den):
+                for j, b in enumerate(phi_d):
+                    out[i + j] += a * b
+            den = out
+    num = [-1] + [0] * (n - 1) + [1]
+    quotient = [0] * (len(num) - len(den) + 1)
+    for k in range(len(quotient) - 1, -1, -1):
+        q = num[k + len(den) - 1]  # den is monic
+        quotient[k] = q
+        for t, b in enumerate(den):
+            num[k + t] -= q * b
+    if any(num):
+        raise ArithmeticError("non-exact polynomial division")
+    return tuple(quotient)
+
+
+def reduce_by_dense_fold(modulus: tuple[int, ...], nums: list[int]) -> tuple[int, ...]:
+    """Remainder of an integer vector modulo a monic modulus, folding each
+    high coefficient through all lower coefficients of the modulus."""
+    d = len(modulus) - 1
+    work = list(nums) + [0] * max(0, d - len(nums))
+    for k in range(len(work) - 1, d - 1, -1):
+        c = work.pop()
+        for t in range(d):
+            work[k - d + t] -= c * modulus[t]
+    return tuple(work)
 
 
 def fc_by_subsets(g: DefiningGraph) -> bool:

@@ -8,6 +8,7 @@ import pytest
 from artincenter import retraction
 from artincenter.cli import main
 from artincenter.graph import parse_graph
+from artincenter.scalar import FieldContext
 
 DATA = pathlib.Path(__file__).parent / "data"
 SCHEMA = json.loads((DATA / "envelope_schema.json").read_text())
@@ -160,6 +161,41 @@ def test_word_huge_exponent_is_an_input_error(capsys):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and "letter guard" in err
+
+
+def test_word_exponent_beyond_int_digit_limit_is_an_input_error(capsys):
+    code, out, err = run(capsys, "word", DATA / "edge3.graph", "s^" + "9" * 5000)
+    assert code == 1
+    assert out == ""
+    assert err == "error: word exceeds the 1000000-letter guard\n"
+
+
+# Labels 5, 7, 8, 9, 3 and 2 on 4 vertices: N = 2520, field degree 1152.
+HIGHDEG_GRAPH = """vertices: x0 x1 x2 x3
+edge x0 x1 5
+edge x0 x2 7
+edge x0 x3 8
+edge x1 x2 9
+edge x1 x3 3
+edge x2 x3 2
+"""
+
+
+def test_field_setup_builds_no_power_table(capsys, monkeypatch, tmp_path):
+    def refuse(self):
+        raise AssertionError("power table built outside conjugation")
+
+    monkeypatch.setattr(FieldContext, "power_table", refuse)
+    graph = tmp_path / "highdeg.graph"
+    graph.write_text(HIGHDEG_GRAPH)
+    code, env = run_json(capsys, "reduce", graph, "x0 x1 x2 x3")
+    assert code == 0
+    assert env["result"]["reduced_word"] == ["x0", "x1", "x2", "x3"]
+    code, env = run_json(capsys, "coset", graph, "x0,x1", "x2 x0 x1")
+    assert code == 0
+    code, env = run_json(capsys, "analyze", DATA / "chain4.graph")
+    assert code == 0
+    validate_report(env["result"])
 
 
 def test_reduce_command(capsys):

@@ -14,14 +14,52 @@ from artincenter.scalar import (
     cyclotomic_polynomial,
     field_context,
 )
+from helpers import cyclotomic_by_division, reduce_by_dense_fold
+
+# N with field degrees from 1 to 1152; 2520 is the field of labels 5, 7, 8, 9.
+ORACLE_ORDERS = list(range(1, 31)) + [180, 420, 630, 2520]
 
 
 def test_cyclotomic_against_sympy():
     x = sympy.Symbol("x")
-    for n in list(range(1, 40)) + [48, 60, 90]:
+    for n in list(range(1, 40)) + [48, 60, 90, 360, 840, 1260, 5040]:
         ours = cyclotomic_polynomial(n)
         theirs = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
         assert list(ours) == [int(c) for c in theirs], n
+
+
+def test_cyclotomic_matches_division_oracle():
+    for n in list(range(1, 601)) + [840, 1260, 5040]:
+        assert cyclotomic_polynomial(n) == cyclotomic_by_division(n), n
+
+
+@pytest.mark.parametrize("N", ORACLE_ORDERS)
+def test_reduce_matches_dense_fold(N):
+    rng = random.Random(N)
+    ctx = FieldContext(N)
+    d = ctx.degree
+    lengths = [0, 1, d - 1, d, d + 1, 2 * d - 1] + [rng.randrange(2 * d) for _ in range(4)]
+    for length in lengths:
+        nums = [rng.randrange(-50, 51) for _ in range(length)]
+        assert ctx.reduce(nums) == reduce_by_dense_fold(ctx.modulus, nums), (N, length)
+
+
+@pytest.mark.parametrize("N", ORACLE_ORDERS)
+def test_root_powers_match_power_table(N):
+    ctx = FieldContext(N)
+    table = ctx.power_table()
+    assert len(table) == 2 * N
+    for k in range(2 * N):
+        assert ctx.root_power(k).nums == table[k], (N, k)
+    assert ctx.root_power(-1).nums == table[2 * N - 1]
+
+
+def test_cos_pi_over_is_built_once_per_field():
+    ctx = FieldContext(2520)
+    for m in (5, 7, 8, 9, 2520):
+        first = cos_pi_over(m, ctx)
+        assert cos_pi_over(m, ctx) is first
+        assert abs(float(first) - math.cos(math.pi / m)) < 1e-12
 
 
 def test_field_context_examples():

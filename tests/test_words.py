@@ -31,6 +31,23 @@ def test_huge_exponent_fails_the_length_guard(text):
         parse_word(text, G)
 
 
+@pytest.mark.parametrize(
+    "exp",
+    ["9" * 5000, "-" + "9" * 5000, "1" + "0" * 7, "0" * 5000 + "1" * 8],
+    ids=["5000-nines", "minus-5000-nines", "8-digits", "zero-padded-8-digits"],
+)
+def test_exponent_too_long_for_int_fails_the_length_guard(exp):
+    with pytest.raises(WordSyntaxError, match="1000000-letter guard"):
+        parse_word(f"s^{exp}", G)
+
+
+def test_leading_zeros_do_not_count_toward_the_exponent_guard():
+    assert len(parse_word("s^" + "0" * 5000 + "3", G)) == 3
+    assert parse_word("t^-007", G).letters == (("t", -1),) * 7
+    with pytest.raises(WordSyntaxError, match="zero exponent"):
+        parse_word("s^" + "0" * 5000, G)
+
+
 def test_length_guard_counts_exponents_before_expanding(monkeypatch):
     monkeypatch.setattr(words, "MAX_LETTERS", 10)
     assert len(parse_word("s^4 t^-6", G)) == 10
