@@ -16,7 +16,8 @@ groups as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .graph import DefiningGraph
@@ -148,15 +149,7 @@ class CoxeterElement:
         """Canonical reduced word: greedily strip the declaration-order-smallest
         left descent.  Multiplies back to the element and realizes its length."""
         if self._word is None:
-            letters = []
-            w = self
-            while True:
-                v = w.first_left_descent()
-                if v is None:
-                    break
-                letters.append(v)
-                w = simple_reflection(w.graph, v) * w
-            self._word = tuple(letters)
+            self._word = _strip(self, self.graph.vertices)[0]
         return self._word
 
     def length(self) -> int:
@@ -224,20 +217,33 @@ class CosetDecomposition:
     subset: tuple[str, ...]
 
 
+def _strip(w: CoxeterElement, among: Sequence[str]) -> tuple[tuple[str, ...], CoxeterElement]:
+    """Greedily strip the first left descent among the given generators until
+    none is left; returns the stripped letters and the remainder."""
+    letters = []
+    while (v := w.first_left_descent(among)) is not None:
+        letters.append(v)
+        w = simple_reflection(w.graph, v) * w
+    return tuple(letters), w
+
+
 def coset_decompose(u: CoxeterElement, subset: Iterable[str]) -> CosetDecomposition:
     """Split off the standard-subgroup part on the left by repeatedly stripping
     the smallest descent contained in the subset.  The reduced part is the
-    unique minimal-length representative of the coset."""
+    unique minimal-length representative of the coset.
+
+    The stripped letters are the canonical reduced word of the subgroup part:
+    for X-reduced w and v in W_X, the left descents of v * w inside X are
+    exactly those of v, and the subset comes in declaration order, so both
+    greedy strips take the same letters.
+    """
     x_set = u.graph.subset(subset)
-    v_part = identity(u.graph)
-    w = u
-    while True:
-        x = w.first_left_descent(x_set)
-        if x is None:
-            break
-        refl = simple_reflection(u.graph, x)
-        v_part = v_part * refl
-        w = refl * w
+    letters, w = _strip(u, x_set)
+    # a reflection differs from the identity in one row, so multiplying the
+    # stripped reflections costs less than the dense product u * w^-1
+    refls = [simple_reflection(u.graph, x) for x in letters]
+    v_part = reduce(mul, refls) if refls else identity(u.graph)
+    v_part._word = letters
     return CosetDecomposition(v_part, w, x_set)
 
 

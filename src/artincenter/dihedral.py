@@ -8,25 +8,31 @@ factors are left weighted.  Normal forms decide equality completely.  For an
 infinite label the group is free of rank 2 and free reduction decides
 equality.
 
-Simple elements biject with the elements of the finite dihedral Coxeter
-group: an alternating word is determined by its first letter and length.
-They are represented here as (first_letter_index, length) pairs with the
-identity (None, 0) and the full twist canonicalized to start with the first
-generator.
+In rank 2, f_i is left weighted before f_(i+1) exactly when f_(i+1) starts
+with the letter f_i ends with.  So the normal form is delta^k followed by a
+positive word whose maximal alternating runs are all shorter than m, and its
+factors are exactly those runs, stored as (first_letter_index, length)
+pairs.  One left-to-right pass builds it.  A positive letter extends the
+last run or starts a new one.  A run that reaches m letters is delta: it
+moves to the front, raising k by one and conjugating the runs before it by
+delta.  An inverse letter c^-1 is delta^-1 times the m-1 alternating letters
+that end with the other generator, which are then appended.  Conjugation by
+delta swaps the generators for odd m and fixes them for even m, so it is
+kept as one twist bit: each run is stored in the frame of the twist when it
+began, and first letters are put right once at the end.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .words import ArtinWord
 
-# A simple element: (start, k) with start in {0, 1} indexing the generator
-# pair and 1 <= k <= m, or (None, 0) for the identity.  k == m is delta.
-Simple = tuple[int | None, int]
-
-_ID: Simple = (None, 0)
+# A simple element: (start, k), the alternating word of k letters beginning
+# with the generator indexed by start in {0, 1}.  Factors have 1 <= k < m.
+Simple = tuple[int, int]
 
 
 def _validate(m, gens, word: ArtinWord | None = None) -> None:
@@ -38,117 +44,34 @@ def _validate(m, gens, word: ArtinWord | None = None) -> None:
         raise ValueError(f"word uses letters outside {gens}")
 
 
-def _end(x: Simple) -> int:
-    start, k = x
-    return start if k % 2 == 1 else 1 - start
-
-
-def _left_descents(x: Simple, m: int) -> tuple[int, ...]:
-    start, k = x
-    if k == 0:
-        return ()
-    if k == m:
-        return (0, 1)
-    return (start,)
-
-
-def _right_descents(x: Simple, m: int) -> tuple[int, ...]:
-    _, k = x
-    if k == 0:
-        return ()
-    if k == m:
-        return (0, 1)
-    return (_end(x),)
-
-
-def _canon(start: int, k: int, m: int) -> Simple:
-    if k == 0:
-        return _ID
-    if k == m:
-        return (0, m)
-    return (start, k)
-
-
-def _lmul(c: int, x: Simple, m: int) -> Simple:
-    """Left-multiply a dihedral group element by a generator."""
-    start, k = x
-    if k == 0:
-        return (c, 1)
-    if k == m:
-        # shorten: result has length m-1 and still ends like delta would
-        # after removing c from the front; its first letter is the other one.
-        return _canon(1 - c, m - 1, m)
-    if c == start:
-        return _canon(1 - start, k - 1, m)
-    return _canon(c, k + 1, m)
-
-
-def _rmul(x: Simple, c: int, m: int) -> Simple:
-    start, k = x
-    if k == 0:
-        return (c, 1)
-    if k == m:
-        new_end = 1 - c
-        new_start = new_end if (m - 1) % 2 == 1 else 1 - new_end
-        return _canon(new_start, m - 1, m)
-    if c == _end(x):
-        return _canon(start, k - 1, m)
-    return _canon(start, k + 1, m)
-
-
-def _left_complement(x: Simple, m: int) -> Simple:
-    """The simple y with y * x = delta in the monoid."""
-    start, k = x
-    if k == 0:
-        return (0, m)
-    if k == m:
-        return _ID
-    y_end = 1 - start
-    y_start = y_end if (m - k) % 2 == 1 else 1 - y_end
-    return _canon(y_start, m - k, m)
-
-
-def _tau(x: Simple, m: int) -> Simple:
-    """Conjugation by delta: identity for even m, generator swap for odd m."""
-    if m % 2 == 0:
-        return x
-    start, k = x
-    if k == 0 or k == m:
-        return x
-    return (1 - start, k)
-
-
-def _renorm_pair(u: Simple, v: Simple, m: int) -> tuple[Simple, Simple]:
-    """Make the pair left weighted by moving initial letters of v onto u."""
-    while True:
-        ru = _right_descents(u, m)
-        moved = False
-        for c in _left_descents(v, m):
-            if c not in ru:
-                u = _rmul(u, c, m)
-                v = _lmul(c, v, m)
-                moved = True
-                break
-        if not moved:
-            return u, v
-
-
-def _normalize_factors(factors: list[Simple], m: int) -> tuple[int, tuple[Simple, ...]]:
-    """Comb a factor list into normal form; returns the delta power shifted out."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors) - 1):
-            u, v = _renorm_pair(factors[i], factors[i + 1], m)
-            if (u, v) != (factors[i], factors[i + 1]):
-                factors[i], factors[i + 1] = u, v
-                changed = True
-    lo, hi = 0, len(factors)
-    while lo < hi and factors[lo][1] == m:
-        lo += 1
-    while lo < hi and factors[hi - 1][1] == 0:
-        hi -= 1
-    return lo, tuple(factors[lo:hi])
+def _normalize_factors(
+    letters: Iterable[tuple[int, int]], m: int
+) -> tuple[int, tuple[Simple, ...]]:
+    """The normal form of (generator index, exponent) letters, in one pass:
+    the delta power and the maximal alternating runs after it."""
+    swap = m % 2  # conjugation by delta swaps the generators for odd m
+    # c^-1 = delta^-1 * (the m-1 alternating letters ending with 1-c)
+    complement = [tuple(c ^ (1 - swap) ^ (i & 1) for i in range(m - 1)) for c in (0, 1)]
+    power = twist = 0
+    runs: list[list[int]] = []  # [first letter xor twist when it began, length]
+    for c, e in letters:
+        if e == 1:
+            push = (c,)
+        else:
+            power -= 1
+            twist ^= swap
+            push = complement[c]
+        for a in push:
+            a ^= twist
+            if runs and a == runs[-1][0] ^ runs[-1][1] % 2:  # a continues the last run
+                runs[-1][1] += 1
+                if runs[-1][1] == m:
+                    runs.pop()
+                    power += 1
+                    twist ^= swap
+            else:
+                runs.append([a, 1])
+    return power, tuple((a ^ twist, k) for a, k in runs)
 
 
 @dataclass(frozen=True)
@@ -186,30 +109,12 @@ class GarsideNormalForm:
 
 
 def garside_nf(m: int, word: ArtinWord, gens: tuple[str, str] = ("s", "t")) -> GarsideNormalForm:
-    """Left greedy normal form of a word in the rank-2 Artin group.
-
-    Inverse letters contribute delta^(-1) times the left complement of the
-    letter; accumulated delta powers are pushed to the front through the
-    conjugation automorphism before the factor list is combed.
-    """
+    """Left greedy normal form of a word in the rank-2 Artin group, built in
+    one pass over its letters."""
     _validate(m, gens, word)
     idx = {gens[0]: 0, gens[1]: 1}
-    factors: list[Simple] = []
-    delta_pows: list[int] = []
-    for v, e in word.letters:
-        if e == 1:
-            factors.append((idx[v], 1))
-            delta_pows.append(0)
-        else:
-            factors.append(_left_complement((idx[v], 1), m))
-            delta_pows.append(-1)
-    power = 0
-    for i in range(len(factors) - 1, -1, -1):
-        if power % 2 == 1:
-            factors[i] = _tau(factors[i], m)
-        power += delta_pows[i]
-    shift, combed = _normalize_factors(factors, m)
-    return GarsideNormalForm(m, tuple(gens), power + shift, combed)
+    power, factors = _normalize_factors(((idx[v], e) for v, e in word.letters), m)
+    return GarsideNormalForm(m, tuple(gens), power, factors)
 
 
 def free_reduce(word: ArtinWord) -> ArtinWord:

@@ -196,13 +196,17 @@ class DefiningGraph:
 def make_graph(
     vertices: Iterable[str], edges: Iterable[tuple[str, str, int | float]] = ()
 ) -> DefiningGraph:
-    """Build a graph from vertex names and (u, v, m) triples; m may be INF."""
+    """Build a graph from vertex names and (u, v, m) triples; m may be INF.
+    A pair may repeat only with the same label, INF included."""
     verts = tuple(vertices)
     index = {v: i for i, v in enumerate(verts)}
     if len(index) != len(verts):
         raise GraphFormatError("duplicate vertex name")
+    seen: dict[tuple[str, str], int | float] = {}
     normalized = []
     for u, v, m in edges:
+        if seen.setdefault((min(u, v), max(u, v)), m) != m:
+            raise GraphFormatError(f"conflicting labels for edge ({u}, {v})")
         if u not in index:
             raise GraphFormatError(f"unknown vertex {u!r} in edge")
         if v not in index:
@@ -257,11 +261,5 @@ def parse_graph(text: str) -> DefiningGraph:
         edges.append((u, v, m))
     if vertices is None:
         raise GraphFormatError("missing 'vertices:' line")
-    seen: dict[tuple[str, str], int | float] = {}
-    for u, v, m in edges:
-        key = (min(u, v), max(u, v))
-        if key in seen and seen[key] != m:
-            raise GraphFormatError(f"conflicting labels for edge ({u}, {v})")
-        seen[key] = m
     return make_graph(vertices, edges)
 

@@ -87,8 +87,8 @@ def _steps(
     w_part = identity(g)
     for vertex, exponent in word.letters:
         dec = coset_decompose(w_part * simple_reflection(g, vertex), subset)
-        witness = dec.subgroup_part.match_simple_reflection(subset)
-        yield w_part, dec, (witness, exponent) if witness is not None else None
+        stripped = dec.subgroup_part.reduced_word()  # at most one letter
+        yield w_part, dec, (stripped[0], exponent) if stripped else None
         w_part = dec.reduced_part
 
 

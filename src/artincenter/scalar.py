@@ -12,9 +12,10 @@ domain error.
 
 The modulus is the Moebius product prod_{d | 2N} (x^d - 1)^mu(2N/d),
 multiplied and divided one binomial at a time in linear passes.  Reduction
-folds through the nonzero terms of the modulus below its degree only, so
-field set-up and each reduction cost in proportion to the modulus's sparsity
-rather than its degree.
+first folds with x^N = -1 (the modulus divides x^N + 1), then through the
+nonzero terms of the modulus below its degree only, so field set-up and each
+reduction cost in proportion to the modulus's sparsity rather than its
+degree.
 
 All values used by the reflection representation are real; realness is a
 flag propagated through arithmetic and checked against conjugation (the
@@ -98,9 +99,10 @@ class FieldContext:
     """Arithmetic context for one field: modulus, fold terms and value caches.
 
     The modulus is the 2N-th cyclotomic polynomial, built as a Moebius product
-    of binomials.  Reduction folds each coefficient above the degree through
-    the nonzero lower terms of the modulus only, which are few (6 to 32 for
-    the fields of degree 96 to 1152).  Root powers reduce a single monomial;
+    of binomials.  Reduction folds each coefficient at x^k with k >= N onto
+    x^(k-N) with its sign flipped, then each one above the degree through the
+    nonzero lower terms of the modulus only, which are few (6 to 32 for the
+    fields of degree 96 to 1152).  Root powers reduce a single monomial;
     the table of all 2N root powers is built only for conjugation.
     """
 
@@ -157,6 +159,13 @@ class FieldContext:
         if len(nums) <= d:
             return tuple(nums) + (0,) * (d - len(nums))
         work = list(nums)
+        # x^N = -1 modulo the 2N-th cyclotomic polynomial, so everything at or
+        # above x^N folds down by N first, leaving at most N coefficients
+        n = self.N
+        for k in range(len(work) - 1, n - 1, -1):
+            if work[k]:
+                work[k - n] -= work[k]
+        del work[n:]
         terms = self._fold_terms
         for k in range(len(work) - 1, d - 1, -1):
             c = work[k]

@@ -6,8 +6,9 @@ triangle-group order formula for expected sizes, a braid-relation rewriting
 closure for positive-word equality in rank 2, exhaustive sweeps over
 principal minors and vertex subsets for the Euclidean and FC-type tests,
 retraction by explicit conjugation of each letter's generator, cyclotomic
-polynomials by the product recursion with dense division, and reduction by a
-dense fold through every lower coefficient of the modulus.
+polynomials by the product recursion with dense division, reduction by a
+dense fold through every lower coefficient of the modulus, and rank-2
+Garside normal forms by fixed-point combing of a simple-factor list.
 """
 
 from __future__ import annotations
@@ -203,6 +204,155 @@ def positive_words_equal_oracle(m: int, a: ArtinWord, b: ArtinWord) -> bool:
     if len(la) != len(lb):
         return False
     return lb in dihedral_rewrite_closure(m, la)
+
+
+# -- rank-2 normal forms by fixed-point combing ---------------------------------
+# An oracle for garside_nf's one-pass normal form that knows nothing of runs:
+# every letter becomes a simple factor (an inverse one delta^-1 times its left
+# complement), delta powers are pushed to the front, and adjacent pairs are
+# re-weighted until nothing moves, at a cost quadratic in the word length.
+
+# A simple element: (start, k) with start in {0, 1} indexing the generator
+# pair and 1 <= k <= m, or (None, 0) for the identity.  k == m is delta.
+Simple = tuple[int | None, int]
+
+_ID: Simple = (None, 0)
+
+
+def _end(x: Simple) -> int:
+    start, k = x
+    return start if k % 2 == 1 else 1 - start
+
+
+def _left_descents(x: Simple, m: int) -> tuple[int, ...]:
+    start, k = x
+    if k == 0:
+        return ()
+    if k == m:
+        return (0, 1)
+    return (start,)
+
+
+def _right_descents(x: Simple, m: int) -> tuple[int, ...]:
+    _, k = x
+    if k == 0:
+        return ()
+    if k == m:
+        return (0, 1)
+    return (_end(x),)
+
+
+def _canon(start: int, k: int, m: int) -> Simple:
+    if k == 0:
+        return _ID
+    if k == m:
+        return (0, m)
+    return (start, k)
+
+
+def _lmul(c: int, x: Simple, m: int) -> Simple:
+    """Left-multiply a dihedral group element by a generator."""
+    start, k = x
+    if k == 0:
+        return (c, 1)
+    if k == m:
+        # shorten: result has length m-1 and still ends like delta would
+        # after removing c from the front; its first letter is the other one.
+        return _canon(1 - c, m - 1, m)
+    if c == start:
+        return _canon(1 - start, k - 1, m)
+    return _canon(c, k + 1, m)
+
+
+def _rmul(x: Simple, c: int, m: int) -> Simple:
+    start, k = x
+    if k == 0:
+        return (c, 1)
+    if k == m:
+        new_end = 1 - c
+        new_start = new_end if (m - 1) % 2 == 1 else 1 - new_end
+        return _canon(new_start, m - 1, m)
+    if c == _end(x):
+        return _canon(start, k - 1, m)
+    return _canon(start, k + 1, m)
+
+
+def _left_complement(x: Simple, m: int) -> Simple:
+    """The simple y with y * x = delta in the monoid."""
+    start, k = x
+    if k == 0:
+        return (0, m)
+    if k == m:
+        return _ID
+    y_end = 1 - start
+    y_start = y_end if (m - k) % 2 == 1 else 1 - y_end
+    return _canon(y_start, m - k, m)
+
+
+def _tau(x: Simple, m: int) -> Simple:
+    """Conjugation by delta: identity for even m, generator swap for odd m."""
+    if m % 2 == 0:
+        return x
+    start, k = x
+    if k == 0 or k == m:
+        return x
+    return (1 - start, k)
+
+
+def _renorm_pair(u: Simple, v: Simple, m: int) -> tuple[Simple, Simple]:
+    """Make the pair left weighted by moving initial letters of v onto u."""
+    while True:
+        ru = _right_descents(u, m)
+        moved = False
+        for c in _left_descents(v, m):
+            if c not in ru:
+                u = _rmul(u, c, m)
+                v = _lmul(c, v, m)
+                moved = True
+                break
+        if not moved:
+            return u, v
+
+
+def _normalize_factors(factors: list[Simple], m: int) -> tuple[int, tuple[Simple, ...]]:
+    """Comb a factor list into normal form; returns the delta power shifted out."""
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(factors) - 1):
+            u, v = _renorm_pair(factors[i], factors[i + 1], m)
+            if (u, v) != (factors[i], factors[i + 1]):
+                factors[i], factors[i + 1] = u, v
+                changed = True
+    lo, hi = 0, len(factors)
+    while lo < hi and factors[lo][1] == m:
+        lo += 1
+    while lo < hi and factors[hi - 1][1] == 0:
+        hi -= 1
+    return lo, tuple(factors[lo:hi])
+
+
+def garside_nf_by_combing(
+    m: int, word: ArtinWord, gens: tuple[str, str] = ("s", "t")
+) -> tuple[int, tuple[Simple, ...]]:
+    """(delta_power, factors) of the left normal form, by combing."""
+    idx = {gens[0]: 0, gens[1]: 1}
+    factors: list[Simple] = []
+    delta_pows: list[int] = []
+    for v, e in word.letters:
+        if e == 1:
+            factors.append((idx[v], 1))
+            delta_pows.append(0)
+        else:
+            factors.append(_left_complement((idx[v], 1), m))
+            delta_pows.append(-1)
+    power = 0
+    for i in range(len(factors) - 1, -1, -1):
+        if power % 2 == 1:
+            factors[i] = _tau(factors[i], m)
+        power += delta_pows[i]
+    shift, combed = _normalize_factors(factors, m)
+    return power + shift, combed
 
 
 def group_abelianization(sub: DefiningGraph, w: ArtinWord) -> dict[str, int]:

@@ -151,6 +151,9 @@ def test_coset_decompose_examples_and_uniqueness():
             dec = coset_decompose(u, x_set)
             assert dec.subgroup_part * dec.reduced_part == u
             assert set(dec.subgroup_part.reduced_word()) <= set(x_set)
+            # the word the split stores is the canonical one a fresh copy computes
+            fresh = dec.subgroup_part * identity(g)
+            assert dec.subgroup_part.reduced_word() == fresh.reduced_word()
             assert dec.reduced_part.is_reduced_for(x_set)
             # invariance under left multiplication from the subgroup
             noise = theta(

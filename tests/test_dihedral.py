@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -12,7 +13,7 @@ from artincenter.dihedral import (
 from artincenter.graph import INF, make_graph
 from artincenter.words import ArtinWord, abelianize, parse_word
 
-from helpers import positive_words_equal_oracle
+from helpers import garside_nf_by_combing, positive_words_equal_oracle
 
 ST = make_graph(["s", "t"], [("s", "t", 3)])
 
@@ -146,3 +147,24 @@ def test_word_validation():
         garside_nf(3, w, ("a", "b"))
     with pytest.raises(ValueError):
         garside_nf(INF, W("s"), ("s", "t"))  # infinite label needs free_reduce
+
+
+def _nf_pair(m: int, w: ArtinWord) -> tuple:
+    nf = garside_nf(m, w)
+    return nf.delta_power, nf.factors
+
+
+def test_one_pass_matches_combing_on_all_short_words():
+    alphabet = [("s", 1), ("t", 1), ("s", -1), ("t", -1)]
+    words = [ArtinWord(letters) for n in range(7) for letters in product(alphabet, repeat=n)]
+    for m in range(2, 9):
+        for w in words:
+            assert _nf_pair(m, w) == garside_nf_by_combing(m, w), (m, w)
+
+
+def test_one_pass_matches_combing_on_long_words():
+    rng = random.Random(61)
+    for m in range(2, 13):
+        for _ in range(40):
+            w = random_st_word(rng, rng.randrange(60, 121))
+            assert _nf_pair(m, w) == garside_nf_by_combing(m, w), (m, w)

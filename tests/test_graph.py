@@ -55,6 +55,20 @@ def test_parse_errors(text):
         parse_graph(text)
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [("a", "b", INF), ("a", "b", 3)],
+        [("a", "b", 3), ("b", "a", INF)],
+        [("a", "b", 3), ("b", "a", 4)],
+    ],
+)
+def test_make_graph_rejects_conflicting_labels(edges):
+    with pytest.raises(GraphFormatError, match=r"conflicting labels for edge \("):
+        make_graph(["a", "b"], edges)
+    assert make_graph(["a", "b"], [("a", "b", INF), ("b", "a", INF)]).label("a", "b") == INF
+
+
 def test_duplicate_identical_edge_is_idempotent():
     g = parse_graph("vertices: a b\nedge a b 3\nedge a b 3\n")
     assert g.label("a", "b") == 3

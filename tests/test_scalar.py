@@ -33,7 +33,7 @@ def test_cyclotomic_matches_division_oracle():
         assert cyclotomic_polynomial(n) == cyclotomic_by_division(n), n
 
 
-@pytest.mark.parametrize("N", ORACLE_ORDERS)
+@pytest.mark.parametrize("N", ORACLE_ORDERS + [101, 303])
 def test_reduce_matches_dense_fold(N):
     rng = random.Random(N)
     ctx = FieldContext(N)
