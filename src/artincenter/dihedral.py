@@ -15,11 +15,13 @@ factors are exactly those runs, stored as (first_letter_index, length)
 pairs.  One left-to-right pass builds it.  A positive letter extends the
 last run or starts a new one.  A run that reaches m letters is delta: it
 moves to the front, raising k by one and conjugating the runs before it by
-delta.  An inverse letter c^-1 is delta^-1 times the m-1 alternating letters
-that end with the other generator, which are then appended.  Conjugation by
-delta swaps the generators for odd m and fixes them for even m, so it is
-kept as one twist bit: each run is stored in the frame of the twist when it
-began, and first letters are put right once at the end.
+delta, and its letters past the m-th are appended again.  An inverse letter
+c^-1 is delta^-1 times the m-1 alternating letters that end with the other
+generator, which are appended as one block.  Each delta taken out removes a
+run, so the pass costs O(1) per letter amortized, whatever m is.
+Conjugation by delta swaps the generators for odd m and fixes them for even
+m, so it is kept as one twist bit: a run's stored first letter xor the
+current twist is its true first letter.
 """
 
 from __future__ import annotations
@@ -50,27 +52,26 @@ def _normalize_factors(
     """The normal form of (generator index, exponent) letters, in one pass:
     the delta power and the maximal alternating runs after it."""
     swap = m % 2  # conjugation by delta swaps the generators for odd m
-    # c^-1 = delta^-1 * (the m-1 alternating letters ending with 1-c)
-    complement = [tuple(c ^ (1 - swap) ^ (i & 1) for i in range(m - 1)) for c in (0, 1)]
     power = twist = 0
-    runs: list[list[int]] = []  # [first letter xor twist when it began, length]
+    runs: list[Simple] = []  # (first letter xor twist, length)
     for c, e in letters:
         if e == 1:
-            push = (c,)
-        else:
+            a, n = c, 1
+        else:  # c^-1 = delta^-1 * (the m-1 alternating letters ending with 1-c)
             power -= 1
             twist ^= swap
-            push = complement[c]
-        for a in push:
-            a ^= twist
-            if runs and a == runs[-1][0] ^ runs[-1][1] % 2:  # a continues the last run
-                runs[-1][1] += 1
-                if runs[-1][1] == m:
-                    runs.pop()
-                    power += 1
-                    twist ^= swap
-            else:
-                runs.append([a, 1])
+            a, n = c ^ 1 ^ swap, m - 1
+        # append the block of n alternating letters from a
+        a ^= twist
+        while n and runs and a == runs[-1][0] ^ runs[-1][1] % 2:  # it continues the last run
+            a, k = runs.pop()
+            n += k
+            if n >= m:  # the first m letters are delta; the rest start with a again
+                n -= m
+                power += 1
+                twist ^= swap
+        if n:
+            runs.append((a, n))
     return power, tuple((a ^ twist, k) for a, k in runs)
 
 

@@ -168,3 +168,35 @@ def test_one_pass_matches_combing_on_long_words():
         for _ in range(40):
             w = random_st_word(rng, rng.randrange(60, 121))
             assert _nf_pair(m, w) == garside_nf_by_combing(m, w), (m, w)
+
+
+def test_one_pass_cost_does_not_grow_with_the_label():
+    # A complement of m-1 letters is appended as one block, so a label of
+    # 10**9 costs no more than a small one.
+    m = 10**9
+    for text in ("s", "s^-1", "s^-1 t^-1"):
+        assert _nf_pair(m, W(text)) == garside_nf_by_combing(m, W(text)), text
+    # s t s^-1 = delta^-1 . st . (t s ... t, m-1 letters); the combing moves
+    # one letter at a time here, so the form is written out.
+    assert _nf_pair(m, W("s t s^-1")) == (-1, ((0, 2), (1, m - 1)))
+    # s s^-2 = delta^-2 . (s t ... t, m letters) . (t s ... t, m-1 letters)
+    assert _nf_pair(m, W("s s^-2")) == (-1, ((1, m - 1),))
+
+
+def _lengths_from_label(n: int, m: int, pair: tuple) -> tuple:
+    """Factor lengths of an n-letter word's form written as k or k - m."""
+    power, factors = pair
+    return power, tuple((a, k if k <= n else k - m) for a, k in factors)
+
+
+def test_one_pass_on_a_huge_label_matches_combing_on_a_small_one():
+    # For m > 2n an n-letter word's form depends on m only through its
+    # parity: every factor has at most n letters or at least m - n.
+    alphabet = [("s", 1), ("t", 1), ("s", -1), ("t", -1)]
+    for big, small in ((10**9, 12), (10**9 + 1, 13)):
+        for n in range(5):
+            for letters in product(alphabet, repeat=n):
+                w = ArtinWord(letters)
+                assert _lengths_from_label(n, big, _nf_pair(big, w)) == _lengths_from_label(
+                    n, small, garside_nf_by_combing(small, w)
+                ), (big, w)
