@@ -22,10 +22,11 @@ replayable record of the predicates that justified it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .coxeter import coxeter_number, is_affine, is_minus_identity, is_spherical, longest_element
+from .coxeter import _classify_diagram, is_affine, is_spherical
 from .graph import DefiningGraph
 from .words import ArtinWord
 
@@ -195,13 +196,17 @@ def spherical_center_generator(g: DefiningGraph) -> ArtinWord:
 
     With c the declaration-order product of the generators and h its order,
     the word is c^(h/2) when the longest element acts as minus the identity
-    and c^h otherwise.  Both the order and the branch are computed, never
-    looked up.
+    and c^h otherwise.  Both are read off the types of the Coxeter diagram's
+    components: h is the lcm of their Coxeter numbers, and the longest
+    element is -1 exactly when -1 lies in each component's group.  The
+    matrix-order h and w0 stay in ``coxeter_number`` and ``longest_element``,
+    and the tests check the types against them.
     """
     if not is_spherical(g):
         raise ValueError("center generator requires a spherical graph")
-    h = coxeter_number(g)
-    power = h // 2 if is_minus_identity(longest_element(g)) else h
+    types = _classify_diagram(g)
+    h = math.lcm(*(number for _, number, _ in types))
+    power = h // 2 if all(minus_one for _, _, minus_one in types) else h
     cox_word = ArtinWord(tuple((v, 1) for v in g.vertices))
     return cox_word ** power
 

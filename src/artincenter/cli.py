@@ -22,7 +22,7 @@ from .coxeter import coset_decompose, theta
 from .dihedral import dihedral_equal, free_reduce, garside_nf
 from .graph import INF, DefiningGraph, parse_graph
 from .retraction import retract, retract_trace
-from .words import ArtinWord, abelianize, is_pure, parse_word
+from .words import MAX_LETTERS, ArtinWord, abelianize, is_pure, parse_word
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -248,6 +248,9 @@ def cmd_dihedral(args) -> int:
             text = f"freely reduced: {_word_text(reduced)}"
         else:
             nf = garside_nf(int(m), word, gens)
+            # the factors are spelled out letter by letter; refuse before that
+            if sum(k for _, k in nf.factors) > MAX_LETTERS:
+                raise ValueError(f"normal form exceeds the {MAX_LETTERS}-letter guard")
             factors = [
                 "".join(gens[(s + i) % 2] for i in range(k)) for s, k in nf.factors
             ]

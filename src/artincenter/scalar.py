@@ -8,7 +8,8 @@ uses the zero test first, then evaluates sum(c_j * cos(j*pi/N)) with outward
 interval arithmetic, doubling the working precision until the enclosure
 excludes zero.  Nonzero algebraic numbers are bounded away from zero, so the
 ladder terminates; the 4096-bit cap is a loud guard against bugs, not a
-domain error.
+domain error.  mpmath, which supplies the intervals, is imported only when
+a sign first reaches the ladder.
 
 The modulus is the Moebius product prod_{d | 2N} (x^d - 1)^mu(2N/d),
 multiplied and divided one binomial at a time in linear passes.  Reduction
@@ -30,8 +31,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
-
-from mpmath import iv
 
 _PRECISION_LADDER = (64, 128, 256, 512, 1024, 2048, 4096)
 
@@ -196,6 +195,8 @@ class FieldContext:
         """Outward enclosures of cos(j*pi/N) for j < degree, at the given precision."""
         cached = self._cos_cache.get(prec)
         if cached is None:
+            from mpmath import iv
+
             old = iv.prec
             try:
                 iv.prec = prec
@@ -476,6 +477,8 @@ class Scalar:
             return cached
         if not self.is_real:
             raise ValueError("sign is defined for real scalars only")
+        from mpmath import iv
+
         for prec in _PRECISION_LADDER:
             cosines = self.ctx.cos_enclosures(prec)
             old = iv.prec

@@ -47,6 +47,9 @@ class ArtinWord:
     def __pow__(self, k: int) -> "ArtinWord":
         if k < 0:
             return self.inverse() ** (-k)
+        # checked before the letters are repeated, so a huge power fails fast
+        if len(self.letters) * k > MAX_LETTERS:
+            raise ValueError(f"word exceeds the {MAX_LETTERS}-letter guard")
         return ArtinWord(self.letters * k)
 
     def inverse(self) -> "ArtinWord":

@@ -3,8 +3,10 @@
 Oracles here are deliberately independent of the code paths they check:
 BFS over representation matrices for lengths and group orders, the spherical
 triangle-group order formula for expected sizes, a braid-relation rewriting
-closure for positive-word equality in rank 2, exhaustive sweeps over
-principal minors and vertex subsets for the Euclidean and FC-type tests,
+closure for positive-word equality in rank 2, signs of Gram minors for the
+spherical and Euclidean tests, the order of the Coxeter element and the
+longest element by matrix products for the center generator's exponent,
+an exhaustive sweep over vertex subsets for the FC-type test,
 retraction by explicit conjugation of each letter's generator, cyclotomic
 polynomials by the product recursion with dense division, reduction by a
 dense fold through every lower coefficient of the modulus, and rank-2
@@ -23,10 +25,12 @@ from artincenter.coxeter import (
     _det,
     _rank,
     coset_decompose,
+    coxeter_number,
     field_of,
     gram_matrix,
     identity,
-    is_spherical,
+    is_minus_identity,
+    longest_element,
     simple_reflection,
     theta,
 )
@@ -79,6 +83,35 @@ def expected_finite_order(g: DefiningGraph) -> int:
         assert order.denominator == 1
         return int(order)
     raise ValueError("only rank <= 3 supported")
+
+
+def spherical_by_minors(g: DefiningGraph) -> bool:
+    """True iff the Gram form is positive definite, decided by exact signs of
+    the leading principal minors."""
+    b = gram_matrix(g)
+    ctx = field_of(g)
+    for k in range(1, len(g.vertices) + 1):
+        minor = _det([row[:k] for row in b[:k]], ctx)
+        if minor.sign() <= 0:
+            return False
+    return True
+
+
+def affine_by_deletion(g: DefiningGraph) -> bool:
+    """Positive semidefinite of rank n-1: the determinant vanishes and some
+    vertex-deleted subgraph is positive definite (interlacing).  It signs
+    leading minors only, not all 3^n principal ones, so it reaches graphs on
+    10 vertices."""
+    verts = g.vertices
+    if not any(spherical_by_minors(g.induced(verts[:i] + verts[i + 1 :])) for i in range(len(verts))):
+        return False
+    return _det(gram_matrix(g), field_of(g)).is_zero()
+
+
+def center_exponent_by_matrices(g: DefiningGraph) -> tuple[int, bool]:
+    """(order of the declaration-order Coxeter element, whether the longest
+    element is -1), both by products of reflection matrices."""
+    return coxeter_number(g), is_minus_identity(longest_element(g))
 
 
 def affine_by_minors(g: DefiningGraph) -> bool:
@@ -168,7 +201,7 @@ def fc_by_subsets(g: DefiningGraph) -> bool:
     for size in range(2, len(g.vertices) + 1):
         for subset in combinations(g.vertices, size):
             if all(g.adjacent(u, v) for u, v in combinations(subset, 2)):
-                if not is_spherical(g.induced(subset)):
+                if not spherical_by_minors(g.induced(subset)):
                     return False
     return True
 
@@ -394,6 +427,79 @@ def words_equal_in_subgroup(sub: DefiningGraph, a: ArtinWord, b: ArtinWord) -> b
     return theta(sub, a) == theta(sub, b) and group_abelianization(
         sub, a
     ) == group_abelianization(sub, b)
+
+
+# -- named Coxeter diagrams ------------------------------------------------------
+# Built from the published diagrams (Humphreys, Reflection Groups and Coxeter
+# Groups, 2.4 and 2.5), not from the classifier's shapes: vertices are indices,
+# diagram edges carry their labels (INF for infinity), and every other pair is
+# given label 2.
+
+
+def _path(labels) -> dict[tuple[int, int], object]:
+    return {(i, i + 1): m for i, m in enumerate(labels)}
+
+
+def _branched(path_labels, attach: int, extra: int) -> dict[tuple[int, int], object]:
+    """A path with the given labels and one more vertex, extra, joined to
+    the vertex at attach by label 3."""
+    d = _path(path_labels)
+    d[(attach, extra)] = 3
+    return d
+
+
+def named_diagrams(max_vertices: int = 10) -> dict[str, tuple[int, dict, object, object, bool | None]]:
+    """name -> (vertex count, diagram edges, kind, Coxeter number h or None,
+    whether -1 lies in W or None) for every named spherical and Euclidean
+    diagram with at most max_vertices vertices.  Kinds are "spherical" and
+    "euclidean"."""
+    out: dict[str, tuple[int, dict, object, object, bool | None]] = {}
+    for n in range(1, max_vertices + 1):
+        out[f"A{n}"] = (n, _path([3] * (n - 1)), "spherical", n + 1, n == 1)
+    for n in range(3, max_vertices + 1):
+        out[f"B{n}"] = (n, _path([3] * (n - 2) + [4]), "spherical", 2 * n, True)
+    for n in range(4, max_vertices + 1):
+        out[f"D{n}"] = (n, _branched([3] * (n - 2), n - 3, n - 1), "spherical", 2 * n - 2, n % 2 == 0)
+    for n, h, minus_one in ((6, 12, False), (7, 18, True), (8, 30, True)):
+        out[f"E{n}"] = (n, _branched([3] * (n - 2), 2, n - 1), "spherical", h, minus_one)
+    out["F4"] = (4, _path([3, 4, 3]), "spherical", 12, True)
+    out["H3"] = (3, _path([5, 3]), "spherical", 10, True)
+    out["H4"] = (4, _path([5, 3, 3]), "spherical", 30, True)
+    for m in range(2, 31):  # I2(2) is A1 x A1: the diagram has no edge
+        out[f"I2_{m}"] = (2, {} if m == 2 else {(0, 1): m}, "spherical", m, m % 2 == 0)
+    euclidean = {"At1": (2, {(0, 1): INF}), "Ft4": (5, _path([3, 3, 4, 3])), "Gt2": (3, _path([6, 3]))}
+    for n in range(2, max_vertices):
+        cycle = _path([3] * n)
+        cycle[(0, n)] = 3
+        euclidean[f"At{n}"] = (n + 1, cycle)
+        euclidean[f"Ct{n}"] = (n + 1, _path([4] + [3] * (n - 2) + [4]))
+    for n in range(3, max_vertices):
+        d = _branched([3] * (n - 2) + [4], 1, n)  # fork {0, n} at vertex 1, label 4 at the far end
+        euclidean[f"Bt{n}"] = (n + 1, d)
+    for n in range(4, max_vertices):
+        d = _branched([3] * (n - 2), 1, n - 1)  # forks {0, n-1} at 1 and {n-2, n} at n-3
+        d[(n - 3, n)] = 3
+        euclidean[f"Dt{n}"] = (n + 1, d)
+    euclidean["Et6"] = (7, {(0, 1): 3, (1, 2): 3, (0, 3): 3, (3, 4): 3, (0, 5): 3, (5, 6): 3})
+    euclidean["Et7"] = (8, _branched([3] * 6, 3, 7))
+    euclidean["Et8"] = (9, _branched([3] * 7, 2, 8))
+    for name, (n, d) in euclidean.items():
+        if n <= max_vertices:
+            out[name] = (n, d, "euclidean", None, None)
+    return out
+
+
+def diagram_graph(n: int, diagram: dict, rng: random.Random | None = None) -> DefiningGraph:
+    """The graph of a diagram on n vertices, vertex order shuffled by rng."""
+    names = list(_NAMES[:n])
+    if rng is not None:
+        rng.shuffle(names)
+    edges = []
+    for i, j in combinations(range(n), 2):
+        m = diagram.get((i, j), diagram.get((j, i), 2))
+        if m != INF:
+            edges.append((names[i], names[j], m))
+    return make_graph(sorted(names), edges)
 
 
 # -- random generators ---------------------------------------------------------

@@ -14,12 +14,14 @@ from artincenter.analyzer import (
     is_two_dimensional,
     spherical_center_generator,
 )
-from artincenter.coxeter import is_affine, is_spherical
+from artincenter.coxeter import field_of, is_affine, is_spherical
 from artincenter.dihedral import dihedral_center_generator, dihedral_equal
 from artincenter.graph import INF, make_graph
 
 from helpers import (
+    diagram_graph,
     fc_by_subsets,
+    named_diagrams,
     random_cone_free_graph,
     random_graph,
     random_single_cone_graph,
@@ -251,3 +253,18 @@ def test_report_serialization():
     assert payload["factors"][0]["child"]["established"] is True
     text = report.to_text()
     assert "CONE_RECURSION" in text and "ESTABLISHED" in text
+
+
+def test_establish_builds_no_cyclotomic_field():
+    rng = random.Random(23)
+    corpus = [diagram_graph(n, d, rng) for n, d, *_ in named_diagrams(8).values()]
+    corpus += [random_graph(rng, rng.randrange(2, 7), (2, 3, 4, 5, 6, INF)) for _ in range(40)]
+    corpus += [random_single_cone_graph(rng, rng.randrange(3, 7)) for _ in range(10)]
+    corpus += [random_cone_free_graph(rng, rng.randrange(2, 7)) for _ in range(10)]
+    corpus += [make_graph("abc", [("a", "b", 101), ("b", "c", 103), ("a", "c", 2)]), UNKNOWN_CLIQUE]
+    field_of.cache_clear()
+    kinds = set()
+    for g in corpus:
+        kinds.update(f.reason or f.kind for f in establish(g).factors)
+    assert field_of.cache_info().currsize == 0
+    assert {SPHERICAL, "TWO_DIMENSIONAL", "EUCLIDEAN", "FC_TYPE", UNKNOWN} <= kinds

@@ -1,6 +1,9 @@
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -262,3 +265,61 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+HUGE_LABEL_GRAPH = "vertices: s t\nedge s t 1000000000\n"
+
+
+def test_analyze_huge_label_is_a_one_line_input_error(capsys, tmp_path):
+    # I2(10^9) is spherical; its center generator (s t)^(5 * 10^8) passes the
+    # word guard, which must trip before any letter is built
+    graph = tmp_path / "huge.graph"
+    graph.write_text(HUGE_LABEL_GRAPH)
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "analyze", graph, *extra)
+        assert code == 1
+        assert out == ""
+        assert err == "error: word exceeds the 1000000-letter guard\n"
+
+
+def test_analyze_dir_records_the_huge_label_and_goes_on(capsys, tmp_path):
+    (tmp_path / "a.graph").write_text(HUGE_LABEL_GRAPH)
+    (tmp_path / "b.graph").write_text((DATA / "edge3.graph").read_text())
+    code, out, err = run(capsys, "analyze", "--dir", tmp_path, "--json")
+    assert code == 1
+    assert err.count("\n") == 1 and "a.graph: error: word exceeds" in err
+    summary = json.loads(out)
+    assert summary[0]["error"] == "word exceeds the 1000000-letter guard"
+    assert summary[1]["established"] is True
+    assert not (tmp_path / "a.report.json").exists()
+    assert (tmp_path / "b.report.json").exists()
+
+
+def test_dihedral_normal_form_past_the_letter_guard_is_an_input_error(capsys, tmp_path):
+    # s t^-1 s has a factor of m - 1 letters; spelling it would take gigabytes
+    graph = tmp_path / "huge.graph"
+    graph.write_text(HUGE_LABEL_GRAPH)
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "dihedral", graph, "s t^-1 s", *extra)
+        assert code == 1
+        assert out == ""
+        assert err == "error: normal form exceeds the 1000000-letter guard\n"
+    code, env = run_json(capsys, "dihedral", graph, "s t^-1 s", "s t^-1 s")
+    assert code == 0 and env["result"]["equal"] is True
+
+
+def test_analyze_does_not_load_mpmath():
+    script = (
+        "import sys\n"
+        "from artincenter.cli import main\n"
+        f"code = main(['analyze', {str(DATA / 'edge3.graph')!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'mpmath' not in sys.modules, 'mpmath loaded'\n"
+    )
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "center generators: s t s t s t" in done.stdout

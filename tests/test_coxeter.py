@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from artincenter.analyzer import spherical_center_generator
 from artincenter.coxeter import (
     coset_decompose,
     coxeter_number,
@@ -17,7 +18,19 @@ from artincenter.coxeter import (
 from artincenter.graph import INF, make_graph
 from artincenter.words import ArtinWord
 
-from helpers import affine_by_minors, bfs_enumerate, expected_finite_order, random_word, small_graphs
+from helpers import (
+    affine_by_deletion,
+    affine_by_minors,
+    all_graphs,
+    bfs_enumerate,
+    center_exponent_by_matrices,
+    diagram_graph,
+    expected_finite_order,
+    named_diagrams,
+    random_word,
+    small_graphs,
+    spherical_by_minors,
+)
 
 EDGE3 = make_graph(["s", "t"], [("s", "t", 3)])
 EDGE4 = make_graph(["s", "t"], [("s", "t", 4)])
@@ -282,3 +295,53 @@ def test_det_and_rank_against_independent_oracles():
         assert ours.as_fraction() == cofactor_det(rational)
         expected_rank = sympy.Matrix(n, n, [sympy.Rational(q.numerator, q.denominator) for row in rational for q in row]).rank() if n else 0
         assert _rank(scalars, ctx) == expected_rank
+
+
+# -- diagram classification against the Gram-minor and matrix-order oracles ---
+
+
+def _generator_by_matrices(g):
+    """c^(h/2) or c^h, with h and w0 = -1 found by matrix products."""
+    h, minus_one = center_exponent_by_matrices(g)
+    return ArtinWord(tuple((v, 1) for v in g.vertices)) ** (h // 2 if minus_one else h)
+
+
+def test_diagram_classifier_matches_oracles_on_small_graphs():
+    graphs = [g for n in range(4) for g in all_graphs(n, (2, 3, 4, 5, 6, 7, INF))]
+    assert len(graphs) == 1 + 1 + 7 + 7**3
+    for g in graphs:
+        spherical = spherical_by_minors(g)
+        assert is_spherical(g) == spherical, g
+        assert is_affine(g) == affine_by_minors(g), g
+        if spherical:
+            assert spherical_center_generator(g) == _generator_by_matrices(g), g
+
+
+def test_diagram_classifier_names_every_family():
+    rng = random.Random(11)
+    for name, (n, diagram, kind, h, minus_one) in named_diagrams(10).items():
+        g = diagram_graph(n, diagram, rng)
+        spherical, euclidean = kind == "spherical", kind == "euclidean"
+        assert (is_spherical(g), is_affine(g)) == (spherical, euclidean), name
+        assert spherical_by_minors(g) == spherical, name
+        assert affine_by_deletion(g) == euclidean, name
+        if spherical:
+            assert center_exponent_by_matrices(g) == (h, minus_one), name
+            assert spherical_center_generator(g) == _generator_by_matrices(g), name
+
+
+def test_diagram_classifier_matches_oracles_on_random_trees_and_cycles():
+    rng = random.Random(5)
+    labels = (3, 3, 3, 3, 4, 4, 5, 6)
+    for trial in range(120):
+        n = rng.randrange(5, 8)
+        diagram = {(rng.randrange(i), i): rng.choice(labels) for i in range(1, n)}
+        if trial % 3 == 0:  # close one cycle
+            i, j = sorted(rng.sample(range(n), 2))
+            diagram.setdefault((i, j), rng.choice(labels))
+        g = diagram_graph(n, diagram, rng)
+        spherical = spherical_by_minors(g)
+        assert is_spherical(g) == spherical, g
+        assert is_affine(g) == affine_by_deletion(g), g
+        if spherical:
+            assert spherical_center_generator(g) == _generator_by_matrices(g), g

@@ -108,6 +108,8 @@ def test_center_generators():
     assert dihedral_center_generator(3) == W("s t") ** 3
     with pytest.raises(ValueError):
         dihedral_center_generator(INF)
+    with pytest.raises(ValueError, match="letter guard"):
+        dihedral_center_generator(10**9)
 
     for m in range(2, 9):
         z = dihedral_center_generator(m)

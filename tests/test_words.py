@@ -132,3 +132,12 @@ def test_inverse_is_pure_square():
     for _ in range(20):
         w = random_word(rng, G, rng.randrange(0, 6))
         assert is_pure(G, w + w.inverse())
+
+
+def test_power_guard_checks_before_repeating_the_letters():
+    w = ArtinWord((("s", 1), ("t", 1)))
+    assert len(w ** 500000) == 10**6
+    # 10**9 pairs would need gigabytes if the tuple were built first
+    for k in (500001, 5 * 10**8, -(5 * 10**8)):
+        with pytest.raises(ValueError, match="1000000-letter guard"):
+            w ** k
