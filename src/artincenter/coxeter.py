@@ -3,10 +3,19 @@
 Elements are matrices of the reflection representation acting on the simple
 root basis, with entries in the exact cyclotomic field of the graph's labels.
 The representation is faithful, so equality of elements is equality of
-matrices.  Every element also carries its inverse matrix, maintained under
-multiplication, because descent tests read columns of the inverse: a
-generator s descends w on the left exactly when w^{-1} maps the simple root
-of s to a negative root.
+matrices.  Every element also carries its inverse matrix, because descent
+tests read columns of the inverse: a generator s descends w on the left
+exactly when w^{-1} maps the simple root of s to a negative root.
+
+A product by one generator is a generator update in O(n * deg), touching
+only the generator's neighbours in the Coxeter diagram (labels other than 2,
+infinity included): w * s negates column s and adds 2cos(pi/m_sc) times
+column s to each neighbour column c; s * w negates row s and adds
+2cos(pi/m_sc) times each neighbour row c to it.  The inverse follows from
+(w * s)^-1 = s * w^-1.  theta, the greedy strip behind reduced words and
+coset splits, and longest_element use only generator updates, and the strip
+updates the inverse alone, since (s * w)^-1 = w^-1 * s.  The dense n^3
+product is left for products of two general elements.
 
 A non-adjacent pair contributes the standard Gram entry -1 (the limit of
 -cos(pi/m)), which is what makes the length theory below valid for infinite
@@ -23,8 +32,7 @@ references the tests check the classification against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import mul
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .graph import INF, DefiningGraph
@@ -64,6 +72,47 @@ def _mat_mul(a: Matrix, b: Matrix, ctx: FieldContext) -> Matrix:
             row.append(acc)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+# (c, 2cos(pi/m_sc)) for each neighbour c of a generator s in the Coxeter
+# diagram: the nonzero off-diagonal entries of row s of its reflection
+Neighbours = tuple[tuple[int, Scalar], ...]
+
+
+@lru_cache(maxsize=None)
+def _neighbours(g: DefiningGraph) -> tuple[Neighbours, ...]:
+    ctx = field_of(g)
+    return tuple(
+        tuple((c, 2 * cos_pi_over(m, ctx)) for c, m in sorted(nbrs.items()))
+        for nbrs in _diagram(g)
+    )
+
+
+def _times_generator(mat: Matrix, s: int, nbrs: Neighbours) -> Matrix:
+    """mat * s: column s is negated and each neighbour column c gains
+    2cos(pi/m_sc) times column s."""
+    rows = []
+    for row in mat:
+        x = row[s]
+        if any(x.nums):
+            new = list(row)
+            new[s] = -x
+            for c, a in nbrs:
+                new[c] = new[c] + a * x
+            row = tuple(new)
+        rows.append(row)
+    return tuple(rows)
+
+
+def _generator_times(mat: Matrix, s: int, nbrs: Neighbours) -> Matrix:
+    """s * mat: row s becomes -row s plus 2cos(pi/m_sc) times each neighbour
+    row c."""
+    new = [-x for x in mat[s]]
+    for c, a in nbrs:
+        for j, y in enumerate(mat[c]):
+            if any(y.nums):
+                new[j] = new[j] + a * y
+    return mat[:s] + (tuple(new),) + mat[s + 1 :]
 
 
 class CoxeterElement:
@@ -116,6 +165,14 @@ class CoxeterElement:
     def inverse(self) -> "CoxeterElement":
         return CoxeterElement(self.graph, self.inv, self.mat)
 
+    def times_generator(self, v: str) -> "CoxeterElement":
+        """self * s_v, by generator updates: (w * s)^-1 = s * w^-1."""
+        s = self.graph.index(v)
+        nbrs = _neighbours(self.graph)[s]
+        return CoxeterElement(
+            self.graph, _times_generator(self.mat, s, nbrs), _generator_times(self.inv, s, nbrs)
+        )
+
     def is_identity(self) -> bool:
         return self.mat == identity(self.graph).mat
 
@@ -145,12 +202,6 @@ class CoxeterElement:
 
     def right_descents(self) -> tuple[str, ...]:
         return tuple(v for v in self.graph.vertices if self.has_right_descent(v))
-
-    def first_left_descent(self, among: Sequence[str] | None = None) -> str | None:
-        for v in among if among is not None else self.graph.vertices:
-            if self.has_left_descent(v):
-                return v
-        return None
 
     def reduced_word(self) -> tuple[str, ...]:
         """Canonical reduced word: greedily strip the declaration-order-smallest
@@ -187,31 +238,22 @@ def identity(g: DefiningGraph) -> CoxeterElement:
 def simple_reflection(g: DefiningGraph, v: str) -> CoxeterElement:
     """Reflection matrix of a generator: alpha_v -> -alpha_v and
     alpha_u -> alpha_u + 2 cos(pi/m_uv) alpha_v for u != v."""
-    ctx = field_of(g)
-    n = len(g.vertices)
-    i = g.index(v)
-    rows = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            if r == c:
-                row.append(-ctx.one if r == i else ctx.one)
-            elif r == i:
-                row.append(2 * cos_pi_over(g.label(v, g.vertices[c]), ctx))
-            else:
-                row.append(ctx.zero)
-        rows.append(tuple(row))
-    mat = tuple(rows)
+    s = g.index(v)
+    mat = _times_generator(identity(g).mat, s, _neighbours(g)[s])
     return CoxeterElement(g, mat, mat)
 
 
 def theta(g: DefiningGraph, word: "ArtinWord | Iterable[tuple[str, int]]") -> CoxeterElement:
-    """Image of an Artin word in the Coxeter group (exponent signs collapse)."""
+    """Image of an Artin word in the Coxeter group (exponent signs collapse),
+    one generator update per letter."""
     letters = getattr(word, "letters", word)
-    out = identity(g)
+    neighbours = _neighbours(g)
+    mat = inv = identity(g).mat
     for v, _exp in letters:
-        out = out * simple_reflection(g, v)
-    return out
+        s = g.index(v)
+        mat = _times_generator(mat, s, neighbours[s])
+        inv = _generator_times(inv, s, neighbours[s])
+    return CoxeterElement(g, mat, inv)
 
 
 @dataclass(frozen=True)
@@ -224,14 +266,26 @@ class CosetDecomposition:
     subset: tuple[str, ...]
 
 
-def _strip(w: CoxeterElement, among: Sequence[str]) -> tuple[tuple[str, ...], CoxeterElement]:
+def _strip(w: CoxeterElement, among: Sequence[str]) -> tuple[tuple[str, ...], Matrix]:
     """Greedily strip the first left descent among the given generators until
-    none is left; returns the stripped letters and the remainder."""
+    none is left; returns the stripped letters and the remainder's inverse.
+
+    Left descents read only the inverse, and (s * w)^-1 = w^-1 * s, so the
+    strip updates the inverse alone.
+    """
+    g = w.graph
+    neighbours = _neighbours(g)
+    order = [(v, g.index(v)) for v in among]
+    inv = w.inv
     letters = []
-    while (v := w.first_left_descent(among)) is not None:
-        letters.append(v)
-        w = simple_reflection(w.graph, v) * w
-    return tuple(letters), w
+    while True:
+        for v, s in order:
+            if w._column_is_negative(inv, s):
+                letters.append(v)
+                inv = _times_generator(inv, s, neighbours[s])
+                break
+        else:
+            return tuple(letters), inv
 
 
 def coset_decompose(u: CoxeterElement, subset: Iterable[str]) -> CosetDecomposition:
@@ -242,16 +296,21 @@ def coset_decompose(u: CoxeterElement, subset: Iterable[str]) -> CosetDecomposit
     The stripped letters are the canonical reduced word of the subgroup part:
     for X-reduced w and v in W_X, the left descents of v * w inside X are
     exactly those of v, and the subset comes in declaration order, so both
-    greedy strips take the same letters.
+    greedy strips take the same letters.  The strip yields the reduced
+    part's inverse; replaying its letters as row updates gives the matrix.
     """
-    x_set = u.graph.subset(subset)
-    letters, w = _strip(u, x_set)
-    # a reflection differs from the identity in one row, so multiplying the
-    # stripped reflections costs less than the dense product u * w^-1
-    refls = [simple_reflection(u.graph, x) for x in letters]
-    v_part = reduce(mul, refls) if refls else identity(u.graph)
+    g = u.graph
+    x_set = g.subset(subset)
+    letters, inv = _strip(u, x_set)
+    neighbours = _neighbours(g)
+    mat = u.mat
+    v_part = identity(g)
+    for x in letters:
+        s = g.index(x)
+        mat = _generator_times(mat, s, neighbours[s])
+        v_part = v_part.times_generator(x)
     v_part._word = letters
-    return CosetDecomposition(v_part, w, x_set)
+    return CosetDecomposition(v_part, CoxeterElement(g, mat, inv), x_set)
 
 
 # -- Gram form: the reference the diagram classification is tested against ----
@@ -501,7 +560,7 @@ def longest_element(g: DefiningGraph) -> CoxeterElement:
         v = next((v for v in g.vertices if not w.has_right_descent(v)), None)
         if v is None:
             return w
-        w = w * simple_reflection(g, v)
+        w = w.times_generator(v)
 
 
 def is_minus_identity(w: CoxeterElement) -> bool:

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .words import ArtinWord
+from .words import MAX_LETTERS, ArtinWord
 
 # A simple element: (start, k), the alternating word of k letters beginning
 # with the generator indexed by start in {0, 1}.  Factors have 1 <= k < m.
@@ -92,7 +92,11 @@ class GarsideNormalForm:
         return [(self.gens[(start + i) % 2], 1) for i in range(k)]
 
     def to_word(self) -> ArtinWord:
-        """A word spelling the element: delta power then the factors."""
+        """A word spelling the element: delta power then the factors.  The
+        letter guard is checked before any letter is spelled."""
+        size = abs(self.delta_power) * self.m + sum(k for _, k in self.factors)
+        if size > MAX_LETTERS:
+            raise ValueError(f"word exceeds the {MAX_LETTERS}-letter guard")
         delta = self._simple_word((0, self.m))
         letters: list[tuple[str, int]] = []
         if self.delta_power >= 0:

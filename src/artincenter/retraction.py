@@ -5,40 +5,42 @@ keeps the X-reduced part w of the Coxeter image of the prefix read so far,
 relative to the target subset X.  By Deodhar's lemma (Invent. Math. 39
 (1977)), right-multiplying w by the next generator s either stays X-reduced
 or equals s_x * w for exactly one x in X, which happens exactly when
-w s w^-1 = s_x.  So the coset split of w * s strips at most one generator,
-and the letter survives as x, with its original sign, exactly when the split
-strips x; all other letters vanish.  Each letter costs one coset split.
+w s w^-1 = s_x, that is when w maps the simple root of s to that of x (the
+root is positive, as w * s is longer than w).  So the letter survives as x,
+with its original sign, exactly when column s of w's matrix is the unit
+vector of some x in X, and w is then unchanged; otherwise the letter
+vanishes and w becomes w * s, one generator update.  Plain retraction needs
+no coset split, no sign and no inverse matrix.
 
-The trace adds the audit: the subgroup part of each prefix image, and the
-reflection w s w^-1 that the letter is tested against, built only when a
-trace is asked for.
+The trace adds the audit, built only when a trace is asked for: the coset
+split of each w * s, the subgroup part of each prefix image, and the
+reflection w s w^-1 that the letter is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .coxeter import (
-    CosetDecomposition,
     CoxeterElement,
+    Matrix,
     _mat_mul,
+    _neighbours,
+    _times_generator,
     coset_decompose,
     field_of,
     identity,
-    simple_reflection,
 )
 from .graph import DefiningGraph
 from .words import ArtinWord
 
 
-def _conjugated_reflection(
-    conjugator: CoxeterElement, refl: CoxeterElement
-) -> CoxeterElement:
-    # conjugates of involutions are involutions, so one matrix serves as both
-    ctx = field_of(conjugator.graph)
-    mat = _mat_mul(_mat_mul(conjugator.mat, refl.mat, ctx), conjugator.inv, ctx)
-    return CoxeterElement(conjugator.graph, mat, mat)
+def _conjugated_reflection(w: CoxeterElement, ws: CoxeterElement) -> CoxeterElement:
+    # w s w^-1 = (w * s) * w^-1; conjugates of involutions are involutions, so
+    # one matrix serves as both
+    mat = _mat_mul(ws.mat, w.inv, field_of(w.graph))
+    return CoxeterElement(w.graph, mat, mat)
 
 
 @dataclass(frozen=True)
@@ -79,17 +81,17 @@ class RetractionTrace:
         return "\n".join(lines)
 
 
-def _steps(
-    g: DefiningGraph, subset: tuple[str, ...], word: ArtinWord
-) -> Iterator[tuple[CoxeterElement, CosetDecomposition, tuple[str, int] | None]]:
-    """Per letter: the reduced part before it, the coset split after it, and
-    the emitted letter (the generator the split stripped, if any)."""
-    w_part = identity(g)
-    for vertex, exponent in word.letters:
-        dec = coset_decompose(w_part * simple_reflection(g, vertex), subset)
-        stripped = dec.subgroup_part.reduced_word()  # at most one letter
-        yield w_part, dec, (stripped[0], exponent) if stripped else None
-        w_part = dec.reduced_part
+def _survivor(mat: Matrix, s: int, targets: dict[int, str]) -> str | None:
+    """The column test: the x with w(alpha_s) = alpha_x, read from column s of
+    the reduced part's matrix w, when x is a target vertex; otherwise None."""
+    found = None
+    for r, row in enumerate(mat):
+        y = row[s]
+        if any(y.nums):
+            if found is not None or r not in targets or y != 1:
+                return None
+            found = targets[r]
+    return found
 
 
 def retract(g: DefiningGraph, subset: Iterable[str], word: ArtinWord) -> ArtinWord:
@@ -98,10 +100,18 @@ def retract(g: DefiningGraph, subset: Iterable[str], word: ArtinWord) -> ArtinWo
     Words already over the subset pass through letter for letter; positivity
     and exponent signs of surviving letters are preserved.
     """
-    x_set = g.subset(subset)
-    for v, _ in word.letters:
-        g.index(v)
-    return ArtinWord(tuple(e for _, _, e in _steps(g, x_set, word) if e is not None))
+    letters = [(g.index(v), e) for v, e in word.letters]
+    targets = {g.index(x): x for x in g.subset(subset)}
+    neighbours = _neighbours(g)
+    w = identity(g).mat
+    out = []
+    for s, exponent in letters:
+        x = _survivor(w, s, targets)
+        if x is None:
+            w = _times_generator(w, s, neighbours[s])
+        else:
+            out.append((x, exponent))
+    return ArtinWord(tuple(out))
 
 
 def retract_trace(
@@ -109,14 +119,16 @@ def retract_trace(
 ) -> RetractionTrace:
     """Full per-letter audit whose emitted letters concatenate to the retraction."""
     x_set = g.subset(subset)
-    for v, _ in word.letters:
-        g.index(v)
+    letters = [(g.index(v), v, e) for v, e in word.letters]
+    targets = {g.index(x): x for x in x_set}
     steps = []
-    v_part = identity(g)
-    for pos, ((vertex, exponent), (prev_w, dec, emitted)) in enumerate(
-        zip(word.letters, _steps(g, x_set, word))
-    ):
-        v_part = v_part * dec.subgroup_part
+    w_part = v_part = identity(g)
+    for pos, (s, vertex, exponent) in enumerate(letters):
+        x = _survivor(w_part.mat, s, targets)
+        ws = w_part.times_generator(vertex)
+        dec = coset_decompose(ws, x_set)
+        if x is not None:
+            v_part = v_part.times_generator(x)
         steps.append(
             RetractionStep(
                 position=pos,
@@ -124,9 +136,10 @@ def retract_trace(
                 exponent=exponent,
                 subgroup_part=v_part,
                 reduced_part=dec.reduced_part,
-                reflection=_conjugated_reflection(prev_w, simple_reflection(g, vertex)),
-                emitted=emitted,
+                reflection=_conjugated_reflection(w_part, ws),
+                emitted=None if x is None else (x, exponent),
             )
         )
+        w_part = dec.reduced_part
     output = ArtinWord(tuple(s.emitted for s in steps if s.emitted is not None))
     return RetractionTrace(graph=g, subset=x_set, word=word, steps=tuple(steps), output=output)

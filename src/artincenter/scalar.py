@@ -34,6 +34,13 @@ from typing import Iterable, Sequence
 
 _PRECISION_LADDER = (64, 128, 256, 512, 1024, 2048, 4096)
 
+# Largest field degree phi(2N) a context is built for.  Labels 101 and 103
+# give degree 10200, and 20400 with a label 2 beside them; `reduce` on a
+# five-letter word takes about 7 s on either, and about 15 s at degree 32760
+# (labels 127, 131 and 2).  Labels such as 10^9 would need gigabytes for the
+# modulus alone.
+MAX_FIELD_DEGREE = 2**15
+
 
 class PrecisionExhaustedError(ArithmeticError):
     """Interval sign determination hit the precision cap; indicates a bug."""
@@ -50,6 +57,12 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         primes.append(n)
     return primes
+
+
+def _totient(n: int) -> int:
+    for p in _prime_factors(n):
+        n = n // p * (p - 1)
+    return n
 
 
 def _divide_by_binomial(p: list[int], d: int) -> list[int]:
@@ -213,12 +226,20 @@ def _context_for(N: int) -> FieldContext:
 
 
 def field_context(labels: Iterable[int]) -> FieldContext:
-    """Context for the smallest field containing cos(pi/m) for every finite label."""
+    """Context for the smallest field containing cos(pi/m) for every finite label.
+
+    Its degree phi(2N) is checked against MAX_FIELD_DEGREE before anything is
+    built.  As phi(n) >= sqrt(n/2), phi(2N) >= sqrt(N): an N past
+    MAX_FIELD_DEGREE^2 fails without factoring, and below that, trial
+    division up to sqrt(2N) is cheap.
+    """
     N = 1
     for m in labels:
         if not (isinstance(m, int) and m >= 2):
             raise ValueError(f"label {m!r} must be an integer >= 2")
         N = N * m // math.gcd(N, m)
+    if N > MAX_FIELD_DEGREE**2 or _totient(2 * N) > MAX_FIELD_DEGREE:
+        raise ValueError(f"field exceeds the {MAX_FIELD_DEGREE}-degree guard")
     return _context_for(N)
 
 

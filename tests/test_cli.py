@@ -11,7 +11,7 @@ import pytest
 from artincenter import retraction
 from artincenter.cli import main
 from artincenter.graph import parse_graph
-from artincenter.scalar import FieldContext
+from artincenter.scalar import MAX_FIELD_DEGREE, FieldContext
 
 DATA = pathlib.Path(__file__).parent / "data"
 SCHEMA = json.loads((DATA / "envelope_schema.json").read_text())
@@ -306,6 +306,27 @@ def test_dihedral_normal_form_past_the_letter_guard_is_an_input_error(capsys, tm
         assert err == "error: normal form exceeds the 1000000-letter guard\n"
     code, env = run_json(capsys, "dihedral", graph, "s t^-1 s", "s t^-1 s")
     assert code == 0 and env["result"]["equal"] is True
+
+
+def test_word_commands_past_the_field_guard_are_input_errors(capsys, tmp_path):
+    # labels 10^9 and 1000003 give fields of degree 8 * 10^8 and 1000002
+    prime = tmp_path / "prime.graph"
+    prime.write_text("vertices: s t\nedge s t 1000003\n")
+    huge = tmp_path / "huge.graph"
+    huge.write_text(HUGE_LABEL_GRAPH)
+    for graph in (huge, prime):
+        for argv in (
+            ("reduce", graph, "s t"),
+            ("coset", graph, "s", "s t"),
+            ("retract", graph, "s", "s t"),
+            ("retract", graph, "s", "s t", "--trace"),
+            ("word", graph, "s t"),
+        ):
+            for extra in ((), ("--json",)):
+                code, out, err = run(capsys, *argv, *extra)
+                assert code == 1
+                assert out == ""
+                assert err == f"error: field exceeds the {MAX_FIELD_DEGREE}-degree guard\n"
 
 
 def test_analyze_does_not_load_mpmath():

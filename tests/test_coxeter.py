@@ -5,8 +5,13 @@ import pytest
 
 from artincenter.analyzer import spherical_center_generator
 from artincenter.coxeter import (
+    CoxeterElement,
+    _generator_times,
+    _neighbours,
+    _times_generator,
     coset_decompose,
     coxeter_number,
+    field_of,
     identity,
     is_affine,
     is_minus_identity,
@@ -16,6 +21,7 @@ from artincenter.coxeter import (
     theta,
 )
 from artincenter.graph import INF, make_graph
+from artincenter.scalar import cos_pi_over
 from artincenter.words import ArtinWord
 
 from helpers import (
@@ -27,6 +33,7 @@ from helpers import (
     diagram_graph,
     expected_finite_order,
     named_diagrams,
+    random_graph,
     random_word,
     small_graphs,
     spherical_by_minors,
@@ -345,3 +352,64 @@ def test_diagram_classifier_matches_oracles_on_random_trees_and_cycles():
         assert is_affine(g) == affine_by_deletion(g), g
         if spherical:
             assert spherical_center_generator(g) == _generator_by_matrices(g), g
+
+
+# -- generator updates against the dense products they replace -----------------
+
+
+def _reflection_by_definition(g, v):
+    ctx = field_of(g)
+    n, s = len(g.vertices), g.index(v)
+    rows = [tuple(ctx.one if r == c else ctx.zero for c in range(n)) for r in range(n)]
+    rows[s] = tuple(
+        -ctx.one if c == s else 2 * cos_pi_over(g.label(v, u), ctx)
+        for c, u in enumerate(g.vertices)
+    )
+    return CoxeterElement(g, tuple(rows), tuple(rows))
+
+
+def _check_generator_updates(w, reflections):
+    g = w.graph
+    for s, refl in enumerate(reflections):
+        nbrs = _neighbours(g)[s]
+        right, left = w * refl, refl * w
+        assert _times_generator(w.mat, s, nbrs) == right.mat
+        assert _generator_times(w.inv, s, nbrs) == right.inv
+        assert _generator_times(w.mat, s, nbrs) == left.mat
+        assert _times_generator(w.inv, s, nbrs) == left.inv
+        assert w.times_generator(g.vertices[s]) == right
+
+
+def test_generator_updates_match_dense_products_on_small_graphs():
+    # Every element of at most 4 letters on every graph with n <= 3 and labels
+    # 2..6 and inf, reached by dense products alone.  The set is closed under
+    # inverses and s * w = (w^-1 * s)^-1, so checking w * s on both matrices
+    # checks both updates on both matrices.
+    for n in range(4):
+        for g in all_graphs(n, (2, 3, 4, 5, 6, INF)):
+            reflections = [_reflection_by_definition(g, v) for v in g.vertices]
+            assert [simple_reflection(g, v) for v in g.vertices] == reflections
+            layer = seen = {identity(g)}
+            for _ in range(5):
+                products = set()
+                for w in layer:
+                    for s, refl in enumerate(reflections):
+                        right = w * refl
+                        nbrs = _neighbours(g)[s]
+                        assert _times_generator(w.mat, s, nbrs) == right.mat
+                        assert _generator_times(w.inv, s, nbrs) == right.inv
+                        products.add(right)
+                layer = products - seen
+                seen = seen | layer
+
+
+def test_generator_updates_match_dense_products_on_random_words():
+    rng = random.Random(41)
+    for n in (4, 5, 6):
+        for _ in range(6):
+            g = random_graph(rng, n, (2, 3, 4, 5, 6, INF))
+            reflections = [_reflection_by_definition(g, v) for v in g.vertices]
+            w = identity(g)
+            for v, _ in random_word(rng, g, 10).letters:
+                _check_generator_updates(w, reflections)
+                w = w * reflections[g.index(v)]

@@ -1,17 +1,19 @@
 import random
+import time
 from itertools import product
 
 import pytest
 
 from artincenter.coxeter import theta
 from artincenter.dihedral import (
+    GarsideNormalForm,
     dihedral_center_generator,
     dihedral_equal,
     free_reduce,
     garside_nf,
 )
 from artincenter.graph import INF, make_graph
-from artincenter.words import ArtinWord, abelianize, parse_word
+from artincenter.words import MAX_LETTERS, ArtinWord, abelianize, parse_word
 
 from helpers import garside_nf_by_combing, positive_words_equal_oracle
 
@@ -183,6 +185,20 @@ def test_one_pass_cost_does_not_grow_with_the_label():
     assert _nf_pair(m, W("s t s^-1")) == (-1, ((0, 2), (1, m - 1)))
     # s s^-2 = delta^-2 . (s t ... t, m letters) . (t s ... t, m-1 letters)
     assert _nf_pair(m, W("s s^-2")) == (-1, ((1, m - 1),))
+
+
+def test_to_word_checks_the_letter_guard_before_spelling():
+    # s t^-1 s has a factor of m - 1 letters: 10^9 of them here
+    nf = garside_nf(10**9, W("s t^-1 s"))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"{MAX_LETTERS}-letter guard"):
+        nf.to_word()
+    assert time.perf_counter() - start < 1.0
+    # the guard counts |k| * m letters of delta^k and the factors' letters
+    at_guard = GarsideNormalForm(1000, ("s", "t"), -999, ((0, 999), (1, 1)))
+    assert len(at_guard.to_word()) == MAX_LETTERS
+    with pytest.raises(ValueError, match="letter guard"):
+        GarsideNormalForm(1000, ("s", "t"), -1000, ((0, 1),)).to_word()
 
 
 def _lengths_from_label(n: int, m: int, pair: tuple) -> tuple:

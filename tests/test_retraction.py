@@ -1,6 +1,6 @@
 import random
 
-from artincenter import retraction
+from artincenter import coxeter, retraction
 from artincenter.coxeter import coset_decompose, identity, simple_reflection, theta
 from artincenter.graph import INF, make_graph
 from artincenter.retraction import retract, retract_trace
@@ -196,6 +196,22 @@ def test_retract_builds_no_audit(monkeypatch):
     rng = random.Random(103)
     for _ in range(20):
         retract(CHAIN, random_subset(rng, CHAIN), random_word(rng, CHAIN, 10))
+
+
+def test_one_generator_paths_make_no_dense_product(monkeypatch):
+    def dense(*args):
+        raise AssertionError("dense matrix product on a one-generator path")
+
+    monkeypatch.setattr(coxeter, "_mat_mul", dense)
+    rng = random.Random(107)
+    for g in (CHAIN, TRI):
+        for _ in range(20):
+            x_set, w = random_subset(rng, g), random_word(rng, g, rng.randrange(0, 16))
+            retract(g, x_set, w)
+            theta(g, w).reduced_word()
+            dec = coset_decompose(theta(g, w), x_set)
+            dec.subgroup_part.reduced_word()
+            dec.reduced_part.reduced_word()
 
 
 def test_unknown_vertices_rejected():

@@ -8,6 +8,7 @@ import sympy
 
 from artincenter.graph import INF
 from artincenter.scalar import (
+    MAX_FIELD_DEGREE,
     FieldContext,
     Scalar,
     cos_pi_over,
@@ -75,6 +76,18 @@ def test_field_context_examples():
 def test_field_context_label_validation():
     with pytest.raises(ValueError):
         field_context([1])
+
+
+def test_field_degree_guard():
+    # labels 101 and 103 give degree 10200, and a label 2 doubles N; the
+    # guard admits both
+    assert field_context([101, 103]).degree == 10200
+    assert field_context([101, 103, 2]).degree == 20400
+    # phi(2N) of 1000003 and of 127 * 131 * 137 is factored out; N = 10^9 is
+    # refused on its size alone
+    for labels in ([1000003], [127, 131, 137], [10**9], [2**200]):
+        with pytest.raises(ValueError, match=f"{MAX_FIELD_DEGREE}-degree guard"):
+            field_context(labels)
 
 
 def test_cos_values():
