@@ -1,78 +1,4 @@
 """Exact computations in graph-defined Artin groups and their Coxeter quotients,
 with a certification pipeline for centers driven by cone-point recursion."""
 
-from .graph import INF, DefiningGraph, GraphFormatError, make_graph, parse_graph
-from .scalar import FieldContext, Scalar, cos_pi_over, field_context
-from .coxeter import (
-    CosetDecomposition,
-    CoxeterElement,
-    coset_decompose,
-    coxeter_number,
-    gram_matrix,
-    identity,
-    is_affine,
-    is_spherical,
-    longest_element,
-    simple_reflection,
-    theta,
-)
-from .words import ArtinWord, WordSyntaxError, abelianize, is_pure, parse_word
-from .dihedral import (
-    GarsideNormalForm,
-    dihedral_center_generator,
-    dihedral_equal,
-    free_reduce,
-    garside_nf,
-)
-from .retraction import RetractionTrace, retract, retract_trace
-from .analyzer import (
-    AnalysisReport,
-    establish,
-    is_fc_type,
-    is_two_dimensional,
-    spherical_center_generator,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "INF",
-    "DefiningGraph",
-    "GraphFormatError",
-    "make_graph",
-    "parse_graph",
-    "FieldContext",
-    "Scalar",
-    "cos_pi_over",
-    "field_context",
-    "CosetDecomposition",
-    "CoxeterElement",
-    "coset_decompose",
-    "coxeter_number",
-    "gram_matrix",
-    "identity",
-    "is_affine",
-    "is_spherical",
-    "longest_element",
-    "simple_reflection",
-    "theta",
-    "ArtinWord",
-    "WordSyntaxError",
-    "abelianize",
-    "is_pure",
-    "parse_word",
-    "GarsideNormalForm",
-    "dihedral_center_generator",
-    "dihedral_equal",
-    "free_reduce",
-    "garside_nf",
-    "RetractionTrace",
-    "retract",
-    "retract_trace",
-    "AnalysisReport",
-    "establish",
-    "is_fc_type",
-    "is_two_dimensional",
-    "spherical_center_generator",
-    "__version__",
-]

@@ -26,8 +26,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .coxeter import _classify_diagram, is_affine, is_spherical
-from .graph import DefiningGraph
+from .graph import DefiningGraph, _classify_diagram, is_affine, is_spherical
 from .words import ArtinWord
 
 SPHERICAL = "SPHERICAL"

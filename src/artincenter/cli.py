@@ -4,6 +4,9 @@ Every command reads a graph file and emits either human-readable text or,
 with --json, a stable envelope {command, version, input, result}.  The
 analyze command's exit code triages corpora: 0 when the center is certified,
 2 when any factor is inconclusive, 1 on input errors.
+
+The commands that work in the Coxeter group import it when they run, so
+analyze, split and dihedral never load the field arithmetic.
 """
 
 from __future__ import annotations
@@ -18,11 +21,9 @@ from pathlib import Path
 
 from . import __version__
 from .analyzer import MAX_VERTICES, establish
-from .coxeter import coset_decompose, theta
 from .dihedral import dihedral_equal, free_reduce, garside_nf
 from .graph import INF, DefiningGraph, parse_graph
-from .retraction import retract, retract_trace
-from .words import MAX_LETTERS, ArtinWord, abelianize, is_pure, parse_word
+from .words import MAX_LETTERS, ArtinWord, abelianize, parse_word
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -111,6 +112,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_retract(args) -> int:
+    from .retraction import retract, retract_trace
+
     g, info = _load_graph(args.graph)
     subset = g.subset(_split_subset(args.subset))
     word = parse_word(args.word, g)
@@ -140,6 +143,8 @@ def cmd_retract(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from .coxeter import theta
+
     g, info = _load_graph(args.graph)
     word = parse_word(args.word, g)
     image = theta(g, word)
@@ -163,6 +168,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_coset(args) -> int:
+    from .coxeter import coset_decompose, theta
+
     g, info = _load_graph(args.graph)
     subset = g.subset(_split_subset(args.subset))
     word = parse_word(args.word, g)
@@ -206,6 +213,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_word(args) -> int:
+    from .coxeter import theta
+
     g, info = _load_graph(args.graph)
     word = parse_word(args.word, g)
     image = theta(g, word)
@@ -215,7 +224,7 @@ def cmd_word(args) -> int:
         "positive": word.is_positive(),
         "support": sorted(word.support(), key=g.index),
         "abelianization": abelianize(g, word),
-        "pure": is_pure(g, word),
+        "pure": image.is_identity(),
         "coxeter_image": list(image.reduced_word()),
     }
     text = "\n".join(

@@ -35,10 +35,11 @@ from typing import Iterable, Sequence
 _PRECISION_LADDER = (64, 128, 256, 512, 1024, 2048, 4096)
 
 # Largest field degree phi(2N) a context is built for.  Labels 101 and 103
-# give degree 10200, and 20400 with a label 2 beside them; `reduce` on a
-# five-letter word takes about 7 s on either, and about 15 s at degree 32760
-# (labels 127, 131 and 2).  Labels such as 10^9 would need gigabytes for the
-# modulus alone.
+# give degree 10200, where `reduce` on a five-letter word takes about 7 s; a
+# graph's field stays there with a label 2 beside them, because
+# `coxeter.field_of` leaves label 2 out of N (cos(pi/2) = 0).  At degree 32760
+# (labels 127, 131 and 2 given to field_context) it takes about 15 s.  Labels
+# such as 10^9 would need gigabytes for the modulus alone.
 MAX_FIELD_DEGREE = 2**15
 
 
@@ -244,7 +245,8 @@ def field_context(labels: Iterable[int]) -> FieldContext:
 
 
 def cos_pi_over(m: int | float, ctx: FieldContext) -> "Scalar":
-    """Exact cos(pi/m) for finite m dividing N; the rational 1 for an infinite label.
+    """Exact cos(pi/m) for finite m dividing N, or m = 2; the rational 1 for an
+    infinite label.
 
     The infinite-label value 1 makes -cos equal to -1, the standard Gram entry
     for a non-adjacent pair in the reflection representation.  Finite values
@@ -255,6 +257,8 @@ def cos_pi_over(m: int | float, ctx: FieldContext) -> "Scalar":
         return ctx.one
     if not (isinstance(m, int) and m >= 2):
         raise ValueError(f"label {m!r} must be an integer >= 2 or INF")
+    if m == 2:
+        return ctx.zero
     if ctx.N % m != 0:
         raise ValueError(f"label {m} does not divide the context order N={ctx.N}")
     cached = ctx._cos_pi_cache.get(m)

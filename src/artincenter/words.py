@@ -11,7 +11,6 @@ import re
 from dataclasses import dataclass
 
 from .graph import DefiningGraph
-from . import coxeter
 
 MAX_LETTERS = 10**6
 
@@ -125,4 +124,7 @@ def abelianize(g: DefiningGraph, w: ArtinWord) -> dict[str, int]:
 
 def is_pure(g: DefiningGraph, w: ArtinWord) -> bool:
     """True iff the word maps to the identity of the Coxeter group."""
-    return coxeter.theta(g, w).is_identity()
+    # imported here, so that loading words loads no field arithmetic
+    from .coxeter import theta
+
+    return theta(g, w).is_identity()

@@ -329,13 +329,24 @@ def test_word_commands_past_the_field_guard_are_input_errors(capsys, tmp_path):
                 assert err == f"error: field exceeds the {MAX_FIELD_DEGREE}-degree guard\n"
 
 
-def test_analyze_does_not_load_mpmath():
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["analyze"], "center generators: s t s t s t"),
+        (["dihedral", "s t^-1 s"], "normal form: delta^-1 . t . ts . s"),
+    ],
+    ids=["analyze", "dihedral"],
+)
+def test_graph_commands_do_not_load_field_arithmetic(argv, expected):
+    command, *rest = argv
     script = (
         "import sys\n"
         "from artincenter.cli import main\n"
-        f"code = main(['analyze', {str(DATA / 'edge3.graph')!r}])\n"
+        f"code = main([{command!r}, {str(DATA / 'edge3.graph')!r}, *{rest!r}])\n"
         "assert code == 0, code\n"
-        "assert 'mpmath' not in sys.modules, 'mpmath loaded'\n"
+        "loaded = [m for m in ('mpmath', 'artincenter.scalar', 'artincenter.coxeter',\n"
+        "                      'artincenter.retraction') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
     )
     src = str(pathlib.Path(__file__).parent.parent / "src")
     done = subprocess.run(
@@ -343,4 +354,4 @@ def test_analyze_does_not_load_mpmath():
         env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert "center generators: s t s t s t" in done.stdout
+    assert expected in done.stdout

@@ -12,6 +12,7 @@ from artincenter.coxeter import (
     coset_decompose,
     coxeter_number,
     field_of,
+    gram_matrix,
     identity,
     is_affine,
     is_minus_identity,
@@ -302,6 +303,16 @@ def test_det_and_rank_against_independent_oracles():
         assert ours.as_fraction() == cofactor_det(rational)
         expected_rank = sympy.Matrix(n, n, [sympy.Rational(q.numerator, q.denominator) for row in rational for q in row]).rank() if n else 0
         assert _rank(scalars, ctx) == expected_rank
+
+
+def test_graph_field_leaves_out_label_2():
+    # cos(pi/2) = 0, so a commuting pair does not double the field: labels 101
+    # and 103 keep degree 10200 (N = 10403, odd) beside a label 2
+    g = make_graph(["a", "b", "c"], [("a", "b", 101), ("b", "c", 103), ("a", "c", 2)])
+    assert field_of(g).degree == 10200
+    gram = gram_matrix(g)
+    assert gram[0][2].is_zero() and gram[2][0].is_zero()
+    assert not gram[0][1].is_zero()
 
 
 # -- diagram classification against the Gram-minor and matrix-order oracles ---
