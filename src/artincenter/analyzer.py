@@ -26,7 +26,13 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import DefiningGraph, _classify_diagram, is_affine, is_spherical
+from .graph import (
+    MAX_VERTICES,
+    DefiningGraph,
+    _classify_diagram,
+    is_affine,
+    is_spherical,
+)
 from .words import ArtinWord
 
 SPHERICAL = "SPHERICAL"
@@ -38,8 +44,6 @@ CONE_RECURSION = "CONE_RECURSION"
 TWO_DIMENSIONAL = "TWO_DIMENSIONAL"
 EUCLIDEAN = "EUCLIDEAN"
 FC_TYPE = "FC_TYPE"
-
-MAX_VERTICES = 16
 
 _RULE_STATEMENTS = {
     SPHERICAL: (

@@ -5,8 +5,9 @@ with --json, a stable envelope {command, version, input, result}.  The
 analyze command's exit code triages corpora: 0 when the center is certified,
 2 when any factor is inconclusive, 1 on input errors.
 
-The commands that work in the Coxeter group import it when they run, so
-analyze, split and dihedral never load the field arithmetic.
+Each command imports the layer it works in when it runs: analyze, split and
+dihedral never load the field arithmetic, and only analyze loads the
+analyzer.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ import tempfile
 from pathlib import Path
 
 from . import __version__
-from .analyzer import MAX_VERTICES, establish
-from .dihedral import dihedral_equal, free_reduce, garside_nf
-from .graph import INF, DefiningGraph, parse_graph
+from .graph import INF, MAX_VERTICES, DefiningGraph, parse_graph
 from .words import MAX_LETTERS, ArtinWord, abelianize, parse_word
 
 EXIT_OK = 0
@@ -61,6 +60,8 @@ def _word_text(w: ArtinWord) -> str:
 
 
 def _analyze_one(path: str, max_vertices: int) -> tuple[dict, str, int]:
+    from .analyzer import establish
+
     g, info = _load_graph(path)
     report = establish(g, max_vertices=max_vertices)
     payload = report.to_dict()
@@ -243,6 +244,8 @@ def cmd_word(args) -> int:
 
 
 def cmd_dihedral(args) -> int:
+    from .dihedral import dihedral_equal, free_reduce, garside_nf
+
     g, info = _load_graph(args.graph)
     if len(g.vertices) != 2:
         raise ValueError("dihedral command requires a graph with exactly 2 vertices")

@@ -25,6 +25,9 @@ from typing import Iterable, Iterator
 
 INF = float("inf")
 
+# Default vertex-count guard of `analyze` (its --max-vertices option).
+MAX_VERTICES = 16
+
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 

@@ -127,7 +127,12 @@ def retract_trace(
         x = _survivor(w_part.mat, s, targets)
         ws = w_part.times_generator(vertex)
         dec = coset_decompose(ws, x_set)
-        if x is not None:
+        reflection = _conjugated_reflection(w_part, ws)
+        if x is None:
+            w_part = dec.reduced_part
+        else:
+            # Deodhar: w * s = s_x * w, so the split's reduced part is w
+            # itself; keeping w's object keeps its cached reduced word
             v_part = v_part.times_generator(x)
         steps.append(
             RetractionStep(
@@ -135,11 +140,10 @@ def retract_trace(
                 vertex=vertex,
                 exponent=exponent,
                 subgroup_part=v_part,
-                reduced_part=dec.reduced_part,
-                reflection=_conjugated_reflection(w_part, ws),
+                reduced_part=w_part,
+                reflection=reflection,
                 emitted=None if x is None else (x, exponent),
             )
         )
-        w_part = dec.reduced_part
     output = ArtinWord(tuple(s.emitted for s in steps if s.emitted is not None))
     return RetractionTrace(graph=g, subset=x_set, word=word, steps=tuple(steps), output=output)

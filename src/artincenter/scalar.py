@@ -3,13 +3,16 @@
 Elements are residues of rational polynomials modulo the 2N-th cyclotomic
 polynomial, stored as integer coefficient vectors over a common positive
 denominator.  This gives a decidable zero test (the reduced polynomial is
-zero) and therefore exact equality.  Sign determination of real elements
-uses the zero test first, then evaluates sum(c_j * cos(j*pi/N)) with outward
-interval arithmetic, doubling the working precision until the enclosure
-excludes zero.  Nonzero algebraic numbers are bounded away from zero, so the
-ladder terminates; the 4096-bit cap is a loud guard against bugs, not a
-domain error.  mpmath, which supplies the intervals, is imported only when
-a sign first reaches the ladder.
+zero) and therefore exact equality.  The sign of a real element is its
+value sum(c_j * cos(j*pi/N)), decided in this order: the zero test, the
+rational shortcut, the per-field cache of signs by numerator vector, then a
+53-bit midpoint-radius rung (the sum in doubles against a table of cosines
+built in integer arithmetic, trusted only when it clears a rigorous error
+bound), and last a ladder of outward interval sums, doubling the working
+precision from 64 bits until the enclosure excludes zero.  Nonzero algebraic
+numbers are bounded away from zero, so the ladder terminates; the 4096-bit
+cap is a loud guard against bugs, not a domain error.  mpmath, which
+supplies the intervals, is imported only when a sign reaches the ladder.
 
 The modulus is the Moebius product prod_{d | 2N} (x^d - 1)^mu(2N/d),
 multiplied and divided one binomial at a time in linear passes.  Reduction
@@ -27,6 +30,7 @@ Conjugation is the only user of the table of all 2N root powers.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -41,6 +45,46 @@ _PRECISION_LADDER = (64, 128, 256, 512, 1024, 2048, 4096)
 # (labels 127, 131 and 2 given to field_context) it takes about 15 s.  Labels
 # such as 10^9 would need gigabytes for the modulus alone.
 MAX_FIELD_DEGREE = 2**15
+
+
+# Fractional bits of the fixed-point arithmetic behind the table of cosines.
+_TABLE_BITS = 120
+
+
+def _atan_inverse(x: int, bits: int) -> int:
+    # arctan(1/x) * 2^bits by its alternating series; the nested floor
+    # divisions give each power floor(2^bits / x^(2k+1)) exactly, so each term
+    # is off by less than 2 units and the tail omitted is below 1 unit
+    power, x2 = (1 << bits) // x, x * x
+    total, k = 0, 0
+    while power:
+        term = power // (2 * k + 1)
+        total += -term if k & 1 else term
+        power //= x2
+        k += 1
+    return total
+
+
+def _sign_in_doubles(nums: Sequence[int], cosines: Sequence[float]) -> int:
+    """Sign of sum(c_j * cosines[j]) for a nonzero real value, or 0 when the
+    doubles cannot decide it.
+
+    A midpoint-radius bound (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3; van der Hoeven, "Ball arithmetic", 2009): with W the
+    sum of |c_j|, the table's error (2^-53 each), rounding each c_j to a
+    double (relative 2^-53), each product (relative 2^-53) and math.fsum's
+    single rounding (relative 2^-53) leave the computed sum within about
+    4 * 2^-53 * W = 2^-51 * W of the value.  A sum beyond 2^-48 * W, eight
+    times that, has the value's sign.  Past 2^1020 in W the doubles could
+    overflow, so such values go to the interval ladder.
+    """
+    weight = sum(map(abs, nums))
+    if weight.bit_length() > 1020:
+        return 0
+    total = math.fsum(map(operator.mul, nums, cosines))
+    if abs(total) > weight * 2.0**-48:
+        return 1 if total > 0 else -1
+    return 0
 
 
 class PrecisionExhaustedError(ArithmeticError):
@@ -131,6 +175,7 @@ class FieldContext:
         self._fold_terms = tuple((t, -c) for t, c in enumerate(self.modulus[:d]) if c)
         self._power_table: tuple[tuple[int, ...], ...] | None = None
         self._cos_cache: dict[int, list] = {}
+        self._cos_doubles: tuple[float, ...] | None = None
         self._cos_pi_cache: dict[int, Scalar] = {}
         # sign is independent of the (positive) denominator, so it is shared
         # across all scalars with the same numerator vector
@@ -205,6 +250,46 @@ class FieldContext:
             self._power_table = tuple(table)
         return self._power_table
 
+    def cos_doubles(self) -> tuple[float, ...]:
+        """cos(j*pi/N) for j < degree as doubles, each within 2^-53; built once.
+
+        No libm and no mpmath: in fixed point at u = 2^-120, pi comes from
+        Machin's formula 16 atan(1/5) - 4 atan(1/239) within 2^10 u, theta =
+        pi/N within 2^10 u / N + u, and exp(i theta) from its Taylor series,
+        each term within e^theta < 5 u for N >= 2 (about 40 terms), so within
+        2^11 u of exp(i pi/N) in all (N = 1 uses only the exact entry j = 0).
+        The powers come from floor-rounded complex products: a unit-modulus
+        recurrence adds at most that error plus 2 u per power, so power j is
+        within j * 2^12 u of exp(i j pi/N), which is 2^-93 below the
+        field-degree guard (j < 2^15) and 2^-60 for any table that fits in
+        memory.  Rounding the real part once to a double (int / int rounds
+        correctly) leaves each entry within 2^-54 + 2^-60 < 2^-53 of
+        cos(j*pi/N).
+        """
+        if self._cos_doubles is None:
+            bits = _TABLE_BITS
+            one = 1 << bits
+            theta = (16 * _atan_inverse(5, bits) - 4 * _atan_inverse(239, bits)) // self.N
+            re = im = 0
+            term, k = one, 0
+            while term:  # term = theta^k / k!
+                if k % 4 == 0:
+                    re += term
+                elif k % 4 == 1:
+                    im += term
+                elif k % 4 == 2:
+                    re -= term
+                else:
+                    im -= term
+                k += 1
+                term = term * theta // (k << bits)
+            table, a, b = [], one, 0
+            for _ in range(self.degree):
+                table.append(a / one)
+                a, b = (a * re - b * im) >> bits, (a * im + b * re) >> bits
+            self._cos_doubles = tuple(table)
+        return self._cos_doubles
+
     def cos_enclosures(self, prec: int) -> list:
         """Outward enclosures of cos(j*pi/N) for j < degree, at the given precision."""
         cached = self._cos_cache.get(prec)
@@ -268,6 +353,31 @@ def cos_pi_over(m: int | float, ctx: FieldContext) -> "Scalar":
         cached = Scalar(ctx, val.nums, 2 * val.den, real=True)._normalized()
         ctx._cos_pi_cache[m] = cached
     return cached
+
+
+def _sign_by_intervals(nums: Sequence[int], ctx: FieldContext) -> int:
+    """Sign of a nonzero real value sum(c_j * cos(j*pi/N)) from outward
+    interval sums, doubling the precision from 64 bits until zero is excluded."""
+    from mpmath import iv
+
+    for prec in _PRECISION_LADDER:
+        cosines = ctx.cos_enclosures(prec)
+        old = iv.prec
+        try:
+            iv.prec = prec
+            total = iv.mpf(0)
+            for j, c in enumerate(nums):
+                if c:
+                    total += c * cosines[j]
+        finally:
+            iv.prec = old
+        if total > 0:
+            return 1
+        if total < 0:
+            return -1
+    raise PrecisionExhaustedError(
+        f"sign of nonzero scalar undecided at {_PRECISION_LADDER[-1]} bits"
+    )
 
 
 def _normalize(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -487,7 +597,12 @@ class Scalar:
     # -- sign and numeric views ------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of a real element: -1, 0 or +1."""
+        """Exact sign of a real element: -1, 0 or +1.
+
+        Decided by the zero test, the rational shortcut, the field's sign
+        cache, the 53-bit rung and, only when that rung cannot decide, the
+        interval ladder, in that order.
+        """
         if self._sign is not None:
             return self._sign
         if self.is_zero():
@@ -502,28 +617,10 @@ class Scalar:
             return cached
         if not self.is_real:
             raise ValueError("sign is defined for real scalars only")
-        from mpmath import iv
-
-        for prec in _PRECISION_LADDER:
-            cosines = self.ctx.cos_enclosures(prec)
-            old = iv.prec
-            try:
-                iv.prec = prec
-                total = iv.mpf(0)
-                for j, c in enumerate(self.nums):
-                    if c:
-                        total += c * cosines[j]
-            finally:
-                iv.prec = old
-            if total > 0:
-                self._sign = self.ctx._sign_cache[self.nums] = 1
-                return 1
-            if total < 0:
-                self._sign = self.ctx._sign_cache[self.nums] = -1
-                return -1
-        raise PrecisionExhaustedError(
-            f"sign of nonzero scalar undecided at {_PRECISION_LADDER[-1]} bits"
-        )
+        ctx, nums = self.ctx, self.nums
+        sign = _sign_in_doubles(nums, ctx.cos_doubles()) or _sign_by_intervals(nums, ctx)
+        self._sign = ctx._sign_cache[nums] = sign
+        return sign
 
     def __float__(self) -> float:
         if not self.is_real:

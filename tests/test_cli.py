@@ -329,24 +329,18 @@ def test_word_commands_past_the_field_guard_are_input_errors(capsys, tmp_path):
                 assert err == f"error: field exceeds the {MAX_FIELD_DEGREE}-degree guard\n"
 
 
-@pytest.mark.parametrize(
-    "argv, expected",
-    [
-        (["analyze"], "center generators: s t s t s t"),
-        (["dihedral", "s t^-1 s"], "normal form: delta^-1 . t . ts . s"),
-    ],
-    ids=["analyze", "dihedral"],
-)
-def test_graph_commands_do_not_load_field_arithmetic(argv, expected):
-    command, *rest = argv
+FIELD_MODULES = ("mpmath", "artincenter.scalar", "artincenter.coxeter", "artincenter.retraction")
+
+
+def _loaded_after(argv, modules):
+    """Run the CLI in a fresh interpreter; return its stdout and which of the
+    modules it loaded."""
     script = (
         "import sys\n"
         "from artincenter.cli import main\n"
-        f"code = main([{command!r}, {str(DATA / 'edge3.graph')!r}, *{rest!r}])\n"
+        f"code = main({[str(a) for a in argv]!r})\n"
         "assert code == 0, code\n"
-        "loaded = [m for m in ('mpmath', 'artincenter.scalar', 'artincenter.coxeter',\n"
-        "                      'artincenter.retraction') if m in sys.modules]\n"
-        "assert not loaded, loaded\n"
+        f"print([m for m in {tuple(modules)!r} if m in sys.modules])\n"
     )
     src = str(pathlib.Path(__file__).parent.parent / "src")
     done = subprocess.run(
@@ -354,4 +348,38 @@ def test_graph_commands_do_not_load_field_arithmetic(argv, expected):
         env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert expected in done.stdout
+    *out, loaded = done.stdout.splitlines()
+    return "\n".join(out), loaded
+
+
+@pytest.mark.parametrize(
+    "argv, expected, unloaded",
+    [
+        (["analyze"], "center generators: s t s t s t", FIELD_MODULES),
+        (
+            ["dihedral", "s t^-1 s"],
+            "normal form: delta^-1 . t . ts . s",
+            FIELD_MODULES + ("artincenter.analyzer",),
+        ),
+        (["reduce", "t s t"], "reduced word: s t s", ("artincenter.analyzer",)),
+    ],
+    ids=["analyze", "dihedral", "reduce"],
+)
+def test_graph_commands_do_not_load_field_arithmetic(argv, expected, unloaded):
+    # each command loads only the layers it works in; reduce needs the field
+    # arithmetic but not the analyzer
+    command, *rest = argv
+    out, loaded = _loaded_after([command, DATA / "edge3.graph", *rest], unloaded)
+    assert loaded == "[]"
+    assert expected in out
+
+
+@pytest.mark.parametrize("degree", [96, 1152])
+def test_high_degree_signs_never_reach_the_interval_ladder(degree):
+    # the benchmark's reduce-highdeg graphs: every descent sign is decided in
+    # doubles, so mpmath is never imported
+    graph = DATA / f"highdeg{degree}.graph"
+    word = "x0 x3 x0 x2 x3 x2^-1 x1 x0^-1 x3 x2^-1 x1^-1 x0^-1 x2 x3 x1"
+    for argv in (["reduce", graph, word], ["coset", graph, "x0,x1", word]):
+        _out, loaded = _loaded_after(argv, ("mpmath",))
+        assert loaded == "[]", argv

@@ -11,6 +11,8 @@ from artincenter.scalar import (
     MAX_FIELD_DEGREE,
     FieldContext,
     Scalar,
+    _sign_by_intervals,
+    _sign_in_doubles,
     cos_pi_over,
     cyclotomic_polynomial,
     field_context,
@@ -215,3 +217,70 @@ def test_cross_context_operations_rejected():
     b = field_context([4]).one
     with pytest.raises(ValueError):
         _ = a + b
+
+
+# -- the 53-bit sign rung -----------------------------------------------------
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 12, 105, 2520, 101 * 103])
+def test_cos_doubles_match_mpmath_within_two_to_minus_52(N):
+    mpmath = pytest.importorskip("mpmath")
+    ctx = FieldContext(N)
+    table = ctx.cos_doubles()
+    assert len(table) == ctx.degree and ctx.cos_doubles() is table
+    with mpmath.workprec(256):
+        bound = mpmath.mpf(2) ** -52
+        angle = mpmath.pi / N
+        for j, value in enumerate(table):
+            assert abs(mpmath.mpf(value) - mpmath.cos(j * angle)) <= bound, (N, j)
+
+
+def _real_polynomial(rng, ctx, terms):
+    # a random integer polynomial in cos(pi/N), which generates the real field
+    c = cos_pi_over(ctx.N, ctx)
+    out, power = ctx.zero, ctx.one
+    for _ in range(terms):
+        out = out + power * rng.randint(-9, 9)
+        power = power * c
+    return out
+
+
+@pytest.mark.parametrize("N", [5, 7, 9, 12, 30, 105])
+def test_double_rung_agrees_with_interval_ladder(N):
+    rng = random.Random(N)
+    ctx = FieldContext(N)
+    cosines = ctx.cos_doubles()
+    decided = undecided = 0
+    for _ in range(60):
+        a = _real_polynomial(rng, ctx, rng.randint(2, 6))
+        # a close rational shift makes values the doubles cannot sign
+        shift = Fraction(round(float(a) * 2**48), 2**48) if rng.random() < 0.3 else 0
+        a = a - shift
+        if a.is_zero() or a.is_rational():
+            continue
+        fast = _sign_in_doubles(a.nums, cosines)
+        slow = _sign_by_intervals(a.nums, ctx)
+        assert fast in (0, slow), (N, a)
+        assert a.sign() == slow
+        decided += fast != 0
+        undecided += fast == 0
+    assert decided > 20 and undecided > 0
+
+
+def test_pell_near_zeros_and_huge_numerators_reach_the_ladder():
+    # p - q*sqrt(2) with p^2 - 2q^2 = +-1 is about 1/(2p): past p ~ 2^23 the
+    # doubles cannot sign it against the weight p + 2q of its numerators
+    ctx = FieldContext(4)
+    sqrt2 = 2 * cos_pi_over(4, ctx)
+    p, q, reached = 1, 1, 0
+    while p.bit_length() < 200:
+        value = p - q * sqrt2
+        if _sign_in_doubles(value.nums, ctx.cos_doubles()) == 0:
+            reached += 1
+            assert value.sign() == (1 if p * p > 2 * q * q else -1)
+        p, q = p + 2 * q, p + q
+    assert reached > 100
+    for scale in (2**1024 + 1, -(3**700)):
+        golden = (2 * cos_pi_over(5, field_context([5])) - 1) * scale  # (sqrt5 - 1)/2 > 0
+        assert _sign_in_doubles(golden.nums, golden.ctx.cos_doubles()) == 0
+        assert golden.sign() == (1 if scale > 0 else -1)
