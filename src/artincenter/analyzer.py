@@ -23,8 +23,8 @@ replayable record of the predicates that justified it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .graph import (
     MAX_VERTICES,
@@ -83,8 +83,7 @@ _RULE_STATEMENTS = {
 }
 
 
-@dataclass(frozen=True)
-class ReasoningStep:
+class ReasoningStep(NamedTuple):
     factor: tuple[str, ...]
     rule: str
     statement: str
@@ -99,13 +98,12 @@ class ReasoningStep:
         }
 
 
-@dataclass(frozen=True)
-class FactorAnalysis:
+class FactorAnalysis(NamedTuple):
     graph: DefiningGraph
     kind: str                              # SPHERICAL / ESTABLISHED_TRIVIAL / UNKNOWN
     reason: str | None                     # reason tag for trivial factors
     cone_points: tuple[str, ...] | None    # containment subset for rules 5-7
-    child: "AnalysisReport | None"         # analysis of the cone subgraph
+    child: AnalysisReport | None           # analysis of the cone subgraph
     generator: ArtinWord | None            # center generator for spherical factors
 
     @property
@@ -123,8 +121,7 @@ class FactorAnalysis:
         }
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     graph: DefiningGraph
     factors: tuple[FactorAnalysis, ...]
     established: bool

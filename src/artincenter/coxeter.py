@@ -24,9 +24,8 @@ groups as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 # The diagram classification lives in graph; coxeter keeps the names
 # is_spherical and is_affine for its callers.
@@ -252,8 +251,7 @@ def theta(g: DefiningGraph, word: "ArtinWord | Iterable[tuple[str, int]]") -> Co
     return CoxeterElement(g, mat, inv)
 
 
-@dataclass(frozen=True)
-class CosetDecomposition:
+class CosetDecomposition(NamedTuple):
     """u = subgroup_part * reduced_part with the first factor inside the
     standard subgroup on the subset and the second factor reduced for it."""
 

@@ -27,8 +27,7 @@ current twist is its true first letter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .words import MAX_LETTERS, ArtinWord
 
@@ -75,8 +74,7 @@ def _normalize_factors(
     return power, tuple((a ^ twist, k) for a, k in runs)
 
 
-@dataclass(frozen=True)
-class GarsideNormalForm:
+class GarsideNormalForm(NamedTuple):
     """delta^delta_power followed by left-weighted proper simple factors."""
 
     m: int

@@ -19,7 +19,6 @@ the tests check the classification against.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -35,40 +34,66 @@ class GraphFormatError(ValueError):
     """Raised when a graph file or graph construction data is malformed."""
 
 
-@dataclass(frozen=True)
 class DefiningGraph:
-    """Immutable labelled graph; construct via :func:`make_graph` or :func:`parse_graph`."""
+    """Immutable labelled graph; construct via :func:`make_graph` or :func:`parse_graph`.
+
+    A slotted value class: equality, hashing, pickling and the repr see only
+    the vertices and the edges, never the lookup tables built from them.
+    """
+
+    __slots__ = ("vertices", "edges", "_index", "_labels")
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[int, int, int], ...]  # sorted, distinct (i, j, m) with i < j, m finite
-    _index: dict[str, int] = field(init=False, repr=False, compare=False, hash=False)
-    _labels: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False, hash=False)
+    _index: dict[str, int]
+    _labels: dict[tuple[int, int], int]
 
-    def __post_init__(self) -> None:
-        index = {v: i for i, v in enumerate(self.vertices)}
-        if len(index) != len(self.vertices):
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[tuple[int, int, int], ...]) -> None:
+        index = {v: i for i, v in enumerate(vertices)}
+        if len(index) != len(vertices):
             raise GraphFormatError("duplicate vertex name")
-        for v in self.vertices:
+        for v in vertices:
             if not _NAME_RE.match(v):
                 raise GraphFormatError(f"invalid vertex name {v!r}")
         labels: dict[tuple[int, int], int] = {}
-        for i, j, m in self.edges:
+        for i, j, m in edges:
             if i == j:
-                raise GraphFormatError(f"self-loop on {self.vertices[i]!r}")
-            if not (0 <= i < j < len(self.vertices)):
+                raise GraphFormatError(f"self-loop on {vertices[i]!r}")
+            if not (0 <= i < j < len(vertices)):
                 raise GraphFormatError("edge endpoints out of range")
             if not (isinstance(m, int) and m >= 2):
                 raise GraphFormatError(f"label {m!r} must be an integer >= 2")
             if (i, j) in labels and labels[(i, j)] != m:
                 raise GraphFormatError(
-                    f"conflicting labels for ({self.vertices[i]}, {self.vertices[j]})"
+                    f"conflicting labels for ({vertices[i]}, {vertices[j]})"
                 )
             labels[(i, j)] = m
         # One stored form per graph, so equality and hashing ignore edge order
         # and repeated lines.
+        object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", tuple(sorted((i, j, m) for (i, j), m in labels.items())))
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_labels", labels)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return DefiningGraph, (self.vertices, self.edges)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self) -> str:
+        return f"DefiningGraph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     # -- basic queries ---------------------------------------------------
 

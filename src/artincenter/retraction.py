@@ -19,8 +19,7 @@ reflection w s w^-1 that the letter is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .coxeter import (
     CoxeterElement,
@@ -43,8 +42,7 @@ def _conjugated_reflection(w: CoxeterElement, ws: CoxeterElement) -> CoxeterElem
     return CoxeterElement(w.graph, mat, mat)
 
 
-@dataclass(frozen=True)
-class RetractionStep:
+class RetractionStep(NamedTuple):
     """Audit record for one input letter."""
 
     position: int                       # 0-based letter index
@@ -56,8 +54,7 @@ class RetractionStep:
     emitted: tuple[str, int] | None     # surviving output letter, if any
 
 
-@dataclass(frozen=True)
-class RetractionTrace:
+class RetractionTrace(NamedTuple):
     graph: DefiningGraph
     subset: tuple[str, ...]
     word: ArtinWord

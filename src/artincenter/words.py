@@ -8,7 +8,6 @@ words letter by letter, which is why the expansion is kept literal.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .graph import DefiningGraph
 
@@ -21,18 +20,40 @@ class WordSyntaxError(ValueError):
     """Raised when word text does not parse."""
 
 
-@dataclass(frozen=True)
 class ArtinWord:
-    """A sequence of (generator, exponent) letters with exponents +1 or -1."""
+    """A sequence of (generator, exponent) letters with exponents +1 or -1.
 
-    letters: tuple[tuple[str, int], ...] = ()
+    A slotted value class: equal letters make equal, equally hashed words.
+    """
 
-    def __post_init__(self):
-        if len(self.letters) > MAX_LETTERS:
+    __slots__ = ("letters",)
+
+    letters: tuple[tuple[str, int], ...]
+
+    def __init__(self, letters: tuple[tuple[str, int], ...] = ()) -> None:
+        if len(letters) > MAX_LETTERS:
             raise ValueError(f"word exceeds the {MAX_LETTERS}-letter guard")
-        for v, e in self.letters:
+        for v, e in letters:
             if e not in (1, -1):
                 raise ValueError(f"letter exponent {e} must be +1 or -1")
+        object.__setattr__(self, "letters", letters)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return ArtinWord, (self.letters,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -352,22 +352,32 @@ def _loaded_after(argv, modules):
     return "\n".join(out), loaded
 
 
+# dataclasses costs about 10 ms of start-up, most of it in importing inspect
+RECORD_MODULES = ("dataclasses", "inspect")
+
+
 @pytest.mark.parametrize(
     "argv, expected, unloaded",
     [
-        (["analyze"], "center generators: s t s t s t", FIELD_MODULES),
+        (["analyze"], "center generators: s t s t s t", FIELD_MODULES + RECORD_MODULES),
         (
             ["dihedral", "s t^-1 s"],
             "normal form: delta^-1 . t . ts . s",
-            FIELD_MODULES + ("artincenter.analyzer",),
+            FIELD_MODULES + ("artincenter.analyzer",) + RECORD_MODULES,
         ),
-        (["reduce", "t s t"], "reduced word: s t s", ("artincenter.analyzer",)),
+        (["reduce", "t s t"], "reduced word: s t s", ("artincenter.analyzer",) + RECORD_MODULES),
+        (
+            ["retract", "s", "t s t^-1 s", "--trace"],
+            "output: s^-1",
+            ("artincenter.analyzer",) + RECORD_MODULES,
+        ),
     ],
-    ids=["analyze", "dihedral", "reduce"],
+    ids=["analyze", "dihedral", "reduce", "retract-trace"],
 )
 def test_graph_commands_do_not_load_field_arithmetic(argv, expected, unloaded):
-    # each command loads only the layers it works in; reduce needs the field
-    # arithmetic but not the analyzer
+    # each command loads only the layers it works in; reduce and retract need
+    # the field arithmetic but not the analyzer, and no command loads
+    # dataclasses
     command, *rest = argv
     out, loaded = _loaded_after([command, DATA / "edge3.graph", *rest], unloaded)
     assert loaded == "[]"

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -217,6 +219,21 @@ def test_edge_order_does_not_matter():
 
 def test_graph_is_hashable_and_immutable():
     g = make_graph(["a", "b"], [("a", "b", 3)])
-    h = make_graph(["a", "b"], [("a", "b", 3)])
-    assert g == h and hash(g) == hash(h)
-    assert {g, h} == {g}
+    # rebuilt, pickled and copied graphs are the same value, with working lookups
+    for h in (
+        make_graph(["a", "b"], [("a", "b", 3)]),
+        pickle.loads(pickle.dumps(g)),
+        copy.deepcopy(g),
+        copy.copy(g),
+    ):
+        assert g == h and hash(g) == hash(h)
+        assert {g, h} == {g}
+        assert h.label("b", "a") == 3 and "a" in h
+    assert g != make_graph(["a", "b"], [("a", "b", 4)])
+    assert g != (g.vertices, g.edges)
+    for name in ("vertices", "edges", "_index", "_labels", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, ())
+    with pytest.raises(AttributeError):
+        del g.vertices
+    assert repr(g) == "DefiningGraph(vertices=('a', 'b'), edges=((0, 1, 3),))"

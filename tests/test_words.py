@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -59,6 +61,25 @@ def test_length_guard_counts_exponents_before_expanding(monkeypatch):
 def test_letter_exponent_validation():
     with pytest.raises(ValueError):
         ArtinWord((("s", 2),))
+
+
+def test_word_is_hashable_and_immutable():
+    w = parse_word("s t^-2 s", G)
+    for v in (
+        ArtinWord((("s", 1), ("t", -1), ("t", -1), ("s", 1))),
+        pickle.loads(pickle.dumps(w)),
+        copy.deepcopy(w),
+        copy.copy(w),
+    ):
+        assert w == v and hash(w) == hash(v)
+        assert {w, v} == {w}
+    assert w != w.inverse() and w != w.letters
+    for name in ("letters", "other"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, ())
+    with pytest.raises(AttributeError):
+        del w.letters
+    assert repr(w) == "ArtinWord(s t^-2 s)" and repr(ArtinWord()) == "ArtinWord(1)"
 
 
 def test_serialize_compresses_runs():
