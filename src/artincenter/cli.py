@@ -19,10 +19,14 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .graph import INF, MAX_VERTICES, DefiningGraph, parse_graph
 from .words import MAX_LETTERS, ArtinWord, abelianize, parse_word
+
+if TYPE_CHECKING:
+    from .analyzer import AnalysisReport
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -59,14 +63,13 @@ def _word_text(w: ArtinWord) -> str:
 # -- analyze ----------------------------------------------------------------
 
 
-def _analyze_one(path: str, max_vertices: int) -> tuple[dict, str, int]:
+def _analyze_one(path: str, max_vertices: int) -> tuple[dict, AnalysisReport, int]:
     from .analyzer import establish
 
     g, info = _load_graph(path)
     report = establish(g, max_vertices=max_vertices)
-    payload = report.to_dict()
     code = EXIT_OK if report.established else EXIT_UNKNOWN
-    return _envelope("analyze", info, payload), report.to_text(), code
+    return _envelope("analyze", info, report.to_dict()), report, code
 
 
 def cmd_analyze(args) -> int:
@@ -82,7 +85,7 @@ def cmd_analyze(args) -> int:
         summary = []
         for path in paths:
             try:
-                envelope, _text, code = _analyze_one(path, args.max_vertices)
+                envelope, _report, code = _analyze_one(path, args.max_vertices)
                 out = Path(path).with_suffix(".report.json")
                 fd, tmp = tempfile.mkstemp(dir=str(out.parent), suffix=".tmp")
                 with os.fdopen(fd, "w") as fh:
@@ -104,8 +107,8 @@ def cmd_analyze(args) -> int:
             print(json.dumps(summary, indent=2, sort_keys=True))
         return EXIT_ERROR if saw_error else worst
 
-    envelope, text, code = _analyze_one(args.graph, args.max_vertices)
-    _emit(args, envelope, text)
+    envelope, report, code = _analyze_one(args.graph, args.max_vertices)
+    _emit(args, envelope, "" if args.json else report.to_text())
     return code
 
 

@@ -6,13 +6,13 @@ denominator.  This gives a decidable zero test (the reduced polynomial is
 zero) and therefore exact equality.  The sign of a real element is its
 value sum(c_j * cos(j*pi/N)), decided in this order: the zero test, the
 rational shortcut, the per-field cache of signs by numerator vector, then a
-53-bit midpoint-radius rung (the sum in doubles against a table of cosines
-built in integer arithmetic, trusted only when it clears a rigorous error
-bound), and last a ladder of outward interval sums, doubling the working
-precision from 64 bits until the enclosure excludes zero.  Nonzero algebraic
+ladder of fixed-point sums.  Each rung sums the numerators exactly, in
+integers, against a table of cos(j*pi/N) * 2^bits built in integer
+arithmetic with a proven radius, and keeps the sign of the sum once it
+clears the numerators' weight times that radius; the first rung reads a
+120-bit table, the later ones double the bits from 256.  Nonzero algebraic
 numbers are bounded away from zero, so the ladder terminates; the 4096-bit
-cap is a loud guard against bugs, not a domain error.  mpmath, which
-supplies the intervals, is imported only when a sign reaches the ladder.
+cap is a loud guard against bugs, not a domain error.
 
 The modulus is the Moebius product prod_{d | 2N} (x^d - 1)^mu(2N/d),
 multiplied and divided one binomial at a time in linear passes.  Reduction
@@ -36,8 +36,6 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-_PRECISION_LADDER = (64, 128, 256, 512, 1024, 2048, 4096)
-
 # Largest field degree phi(2N) a context is built for.  Labels 101 and 103
 # give degree 10200, where `reduce` on a five-letter word takes about 7 s; a
 # graph's field stays there with a label 2 beside them, because
@@ -46,9 +44,9 @@ _PRECISION_LADDER = (64, 128, 256, 512, 1024, 2048, 4096)
 # such as 10^9 would need gigabytes for the modulus alone.
 MAX_FIELD_DEGREE = 2**15
 
-
-# Fractional bits of the fixed-point arithmetic behind the table of cosines.
-_TABLE_BITS = 120
+# Fractional bits of the cosine tables behind the sign rungs: the first rung
+# reads the field's own table, the others come from cos_enclosures.
+_SIGN_LADDER = (120, 256, 512, 1024, 2048, 4096)
 
 
 def _atan_inverse(x: int, bits: int) -> int:
@@ -65,30 +63,57 @@ def _atan_inverse(x: int, bits: int) -> int:
     return total
 
 
-def _sign_in_doubles(nums: Sequence[int], cosines: Sequence[float]) -> int:
-    """Sign of sum(c_j * cosines[j]) for a nonzero real value, or 0 when the
-    doubles cannot decide it.
+def _cos_table(N: int, degree: int, bits: int) -> tuple[int, ...]:
+    """cos(j*pi/N) * 2^bits for j < degree, each entry within 8 * bits * j
+    units of its value, for every bits >= 120.
 
-    A midpoint-radius bound (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 3; van der Hoeven, "Ball arithmetic", 2009): with W the
-    sum of |c_j|, the table's error (2^-53 each), rounding each c_j to a
-    double (relative 2^-53), each product (relative 2^-53) and math.fsum's
-    single rounding (relative 2^-53) leave the computed sum within about
-    4 * 2^-53 * W = 2^-51 * W of the value.  A sum beyond 2^-48 * W, eight
-    times that, has the value's sign.  Past 2^1020 in W the doubles could
-    overflow, so such values go to the interval ladder.
+    Integer arithmetic only, in fixed point at u = 2^-b with b = bits:
+    - pi comes from Machin's formula 16 atan(1/5) - 4 atan(1/239).  The
+      series of atan(1/x) runs K <= (b / log2(x) + 1) / 2 terms, each within
+      2 u, and omits a tail below u, so it is within b / log2(x) + 2 units,
+      and pi within 16 (b/2.32 + 2) + 4 (b/7.9 + 2) < 7.41 b + 40 < 8 b.
+    - theta = pi/N, floor-divided, is within 8 b / N + 1 <= 4 b + 1 units
+      for N >= 2.  (N = 1 has degree 1 and uses only the exact entry j = 0.)
+    - exp(i theta) comes from the Taylor series with floor-rounded terms
+      theta^k / k!.  As theta <= pi/2, each term is within e^theta < 5 u
+      (the previous term's error times theta/k, plus one rounding).  The
+      exact terms drop below u once k >= b/2 (k! >= (k/e)^k), so there are
+      at most b/2 + 1 terms, and the omitted tail starts below 5 u and
+      shrinks by theta/(k+1) <= 0.79: under 24 u.  So w, the computed
+      exp(i theta), is within 4b + 1 + 5 (b/2 + 1) + 24 < 7 b units of
+      exp(i pi/N), and |w| <= 1 + 7 b u.
+    - The powers come from complex products with both parts floor-rounded,
+      each adding under sqrt(2) units, so the error of power j obeys
+      E(j+1) <= E(j) |w| + 7 b + sqrt(2), giving
+      E(j) <= j (7 b + sqrt(2)) (1 + 7 b u)^j < 8 b j units: the last factor
+      is below 1 + 2^-40 for any table that fits in memory (j < 2^60).
+    Entry j is the real part of power j, so within 8 b j units of
+    cos(j*pi/N) * 2^b.
     """
-    weight = sum(map(abs, nums))
-    if weight.bit_length() > 1020:
-        return 0
-    total = math.fsum(map(operator.mul, nums, cosines))
-    if abs(total) > weight * 2.0**-48:
-        return 1 if total > 0 else -1
-    return 0
+    one = 1 << bits
+    theta = (16 * _atan_inverse(5, bits) - 4 * _atan_inverse(239, bits)) // N
+    re = im = 0
+    term, k = one, 0
+    while term:  # term = theta^k / k!
+        if k % 4 == 0:
+            re += term
+        elif k % 4 == 1:
+            im += term
+        elif k % 4 == 2:
+            re -= term
+        else:
+            im -= term
+        k += 1
+        term = term * theta // (k << bits)
+    table, a, b = [], one, 0
+    for _ in range(degree):
+        table.append(a)
+        a, b = (a * re - b * im) >> bits, (a * im + b * re) >> bits
+    return tuple(table)
 
 
 class PrecisionExhaustedError(ArithmeticError):
-    """Interval sign determination hit the precision cap; indicates a bug."""
+    """Sign determination hit the precision cap; indicates a bug."""
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -174,8 +199,8 @@ class FieldContext:
         # all higher powers fold through them
         self._fold_terms = tuple((t, -c) for t, c in enumerate(self.modulus[:d]) if c)
         self._power_table: tuple[tuple[int, ...], ...] | None = None
-        self._cos_cache: dict[int, list] = {}
-        self._cos_doubles: tuple[float, ...] | None = None
+        self._cos_first: tuple[int, ...] | None = None
+        self._cos_cache: dict[int, tuple[int, ...]] = {}
         self._cos_pi_cache: dict[int, Scalar] = {}
         # sign is independent of the (positive) denominator, so it is shared
         # across all scalars with the same numerator vector
@@ -250,59 +275,22 @@ class FieldContext:
             self._power_table = tuple(table)
         return self._power_table
 
-    def cos_doubles(self) -> tuple[float, ...]:
-        """cos(j*pi/N) for j < degree as doubles, each within 2^-53; built once.
+    def cos_table(self) -> tuple[int, ...]:
+        """The first sign rung's table: cos(j*pi/N) * 2^120 for j < degree,
+        entry j within 8 * 120 * j units (see _cos_table); built once.
 
-        No libm and no mpmath: in fixed point at u = 2^-120, pi comes from
-        Machin's formula 16 atan(1/5) - 4 atan(1/239) within 2^10 u, theta =
-        pi/N within 2^10 u / N + u, and exp(i theta) from its Taylor series,
-        each term within e^theta < 5 u for N >= 2 (about 40 terms), so within
-        2^11 u of exp(i pi/N) in all (N = 1 uses only the exact entry j = 0).
-        The powers come from floor-rounded complex products: a unit-modulus
-        recurrence adds at most that error plus 2 u per power, so power j is
-        within j * 2^12 u of exp(i j pi/N), which is 2^-93 below the
-        field-degree guard (j < 2^15) and 2^-60 for any table that fits in
-        memory.  Rounding the real part once to a double (int / int rounds
-        correctly) leaves each entry within 2^-54 + 2^-60 < 2^-53 of
-        cos(j*pi/N).
-        """
-        if self._cos_doubles is None:
-            bits = _TABLE_BITS
-            one = 1 << bits
-            theta = (16 * _atan_inverse(5, bits) - 4 * _atan_inverse(239, bits)) // self.N
-            re = im = 0
-            term, k = one, 0
-            while term:  # term = theta^k / k!
-                if k % 4 == 0:
-                    re += term
-                elif k % 4 == 1:
-                    im += term
-                elif k % 4 == 2:
-                    re -= term
-                else:
-                    im -= term
-                k += 1
-                term = term * theta // (k << bits)
-            table, a, b = [], one, 0
-            for _ in range(self.degree):
-                table.append(a / one)
-                a, b = (a * re - b * im) >> bits, (a * im + b * re) >> bits
-            self._cos_doubles = tuple(table)
-        return self._cos_doubles
+        It is kept apart from cos_enclosures, so that the calls of that one
+        count the signs that get past the first rung."""
+        if self._cos_first is None:
+            self._cos_first = _cos_table(self.N, self.degree, _SIGN_LADDER[0])
+        return self._cos_first
 
-    def cos_enclosures(self, prec: int) -> list:
-        """Outward enclosures of cos(j*pi/N) for j < degree, at the given precision."""
+    def cos_enclosures(self, prec: int) -> tuple[int, ...]:
+        """The table of a later sign rung: cos(j*pi/N) * 2^prec for j < degree,
+        entry j within 8 * prec * j units; built once per precision."""
         cached = self._cos_cache.get(prec)
         if cached is None:
-            from mpmath import iv
-
-            old = iv.prec
-            try:
-                iv.prec = prec
-                cached = [iv.cos(iv.pi * j / self.N) for j in range(self.degree)]
-            finally:
-                iv.prec = old
-            self._cos_cache[prec] = cached
+            cached = self._cos_cache[prec] = _cos_table(self.N, self.degree, prec)
         return cached
 
 
@@ -353,31 +341,6 @@ def cos_pi_over(m: int | float, ctx: FieldContext) -> "Scalar":
         cached = Scalar(ctx, val.nums, 2 * val.den, real=True)._normalized()
         ctx._cos_pi_cache[m] = cached
     return cached
-
-
-def _sign_by_intervals(nums: Sequence[int], ctx: FieldContext) -> int:
-    """Sign of a nonzero real value sum(c_j * cos(j*pi/N)) from outward
-    interval sums, doubling the precision from 64 bits until zero is excluded."""
-    from mpmath import iv
-
-    for prec in _PRECISION_LADDER:
-        cosines = ctx.cos_enclosures(prec)
-        old = iv.prec
-        try:
-            iv.prec = prec
-            total = iv.mpf(0)
-            for j, c in enumerate(nums):
-                if c:
-                    total += c * cosines[j]
-        finally:
-            iv.prec = old
-        if total > 0:
-            return 1
-        if total < 0:
-            return -1
-    raise PrecisionExhaustedError(
-        f"sign of nonzero scalar undecided at {_PRECISION_LADDER[-1]} bits"
-    )
 
 
 def _normalize(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -599,9 +562,13 @@ class Scalar:
     def sign(self) -> int:
         """Exact sign of a real element: -1, 0 or +1.
 
-        Decided by the zero test, the rational shortcut, the field's sign
-        cache, the 53-bit rung and, only when that rung cannot decide, the
-        interval ladder, in that order.
+        Decided by the zero test, the rational shortcut and the field's sign
+        cache, in that order, and then by the fixed-point ladder.  Each rung
+        takes the exact integer sum S = sum(c_j * t_j) against a table t of
+        cos(j*pi/N) * 2^bits, whose entries lie within 8 * bits * degree
+        units of their values, and keeps the sign of S once |S| exceeds
+        sum(|c_j|) times that radius.  The first rung reads cos_table (120
+        bits); the later ones cos_enclosures, from 256 to 4096 bits.
         """
         if self._sign is not None:
             return self._sign
@@ -618,9 +585,17 @@ class Scalar:
         if not self.is_real:
             raise ValueError("sign is defined for real scalars only")
         ctx, nums = self.ctx, self.nums
-        sign = _sign_in_doubles(nums, ctx.cos_doubles()) or _sign_by_intervals(nums, ctx)
-        self._sign = ctx._sign_cache[nums] = sign
-        return sign
+        radius_per_bit = 8 * ctx.degree * sum(map(abs, nums))
+        for bits in _SIGN_LADDER:
+            table = ctx.cos_table() if bits == _SIGN_LADDER[0] else ctx.cos_enclosures(bits)
+            total = sum(map(operator.mul, nums, table))
+            if abs(total) > radius_per_bit * bits:
+                sign = 1 if total > 0 else -1
+                self._sign = ctx._sign_cache[nums] = sign
+                return sign
+        raise PrecisionExhaustedError(
+            f"sign of nonzero scalar undecided at {_SIGN_LADDER[-1]} bits"
+        )
 
     def __float__(self) -> float:
         if not self.is_real:

@@ -9,8 +9,9 @@ longest element by matrix products for the center generator's exponent,
 an exhaustive sweep over vertex subsets for the FC-type test,
 retraction by explicit conjugation of each letter's generator, cyclotomic
 polynomials by the product recursion with dense division, reduction by a
-dense fold through every lower coefficient of the modulus, and rank-2
-Garside normal forms by fixed-point combing of a simple-factor list.
+dense fold through every lower coefficient of the modulus, signs of real
+field elements by outward-rounded mpmath interval sums, and rank-2 Garside
+normal forms by fixed-point combing of a simple-factor list.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from artincenter.coxeter import (
 )
 from artincenter.dihedral import dihedral_equal
 from artincenter.graph import INF, DefiningGraph, make_graph
+from artincenter.scalar import Scalar
 from artincenter.words import ArtinWord, abelianize
 
 
@@ -194,6 +196,46 @@ def reduce_by_dense_fold(modulus: tuple[int, ...], nums: list[int]) -> tuple[int
         for t in range(d):
             work[k - d + t] -= c * modulus[t]
     return tuple(work)
+
+
+INTERVAL_LADDER = (64, 128, 256, 512, 1024, 2048, 4096)
+
+
+@lru_cache(maxsize=None)
+def _cos_intervals(N: int, degree: int, prec: int) -> tuple:
+    from mpmath import iv
+
+    old = iv.prec
+    try:
+        iv.prec = prec
+        return tuple(iv.cos(iv.pi * j / N) for j in range(degree))
+    finally:
+        iv.prec = old
+
+
+def sign_by_intervals(value: Scalar) -> int:
+    """Sign of a nonzero real field element sum(c_j * cos(j*pi/N)) / den from
+    outward mpmath interval sums, doubling the precision from 64 bits until
+    the enclosure excludes zero."""
+    from mpmath import iv
+
+    ctx = value.ctx
+    for prec in INTERVAL_LADDER:
+        cosines = _cos_intervals(ctx.N, ctx.degree, prec)
+        old = iv.prec
+        try:
+            iv.prec = prec
+            total = iv.mpf(0)
+            for j, c in enumerate(value.nums):
+                if c:
+                    total += c * cosines[j]
+        finally:
+            iv.prec = old
+        if total > 0:
+            return 1
+        if total < 0:
+            return -1
+    raise ArithmeticError(f"sign undecided at {INTERVAL_LADDER[-1]} bits")
 
 
 def fc_by_subsets(g: DefiningGraph) -> bool:

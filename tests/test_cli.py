@@ -329,18 +329,19 @@ def test_word_commands_past_the_field_guard_are_input_errors(capsys, tmp_path):
                 assert err == f"error: field exceeds the {MAX_FIELD_DEGREE}-degree guard\n"
 
 
-FIELD_MODULES = ("mpmath", "artincenter.scalar", "artincenter.coxeter", "artincenter.retraction")
+FIELD_MODULES = ("artincenter.scalar", "artincenter.coxeter", "artincenter.retraction")
 
 
-def _loaded_after(argv, modules):
-    """Run the CLI in a fresh interpreter; return its stdout and which of the
-    modules it loaded."""
+def _fresh_run(argv, report, setup=""):
+    """Run the CLI in a fresh interpreter after the setup lines; return its
+    stdout and the repr of the report expression evaluated afterwards."""
     script = (
         "import sys\n"
+        f"{setup}"
         "from artincenter.cli import main\n"
         f"code = main({[str(a) for a in argv]!r})\n"
         "assert code == 0, code\n"
-        f"print([m for m in {tuple(modules)!r} if m in sys.modules])\n"
+        f"print({report})\n"
     )
     src = str(pathlib.Path(__file__).parent.parent / "src")
     done = subprocess.run(
@@ -348,8 +349,8 @@ def _loaded_after(argv, modules):
         env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    *out, loaded = done.stdout.splitlines()
-    return "\n".join(out), loaded
+    *out, reported = done.stdout.splitlines()
+    return "\n".join(out), reported
 
 
 # dataclasses costs about 10 ms of start-up, most of it in importing inspect
@@ -379,17 +380,31 @@ def test_graph_commands_do_not_load_field_arithmetic(argv, expected, unloaded):
     # the field arithmetic but not the analyzer, and no command loads
     # dataclasses
     command, *rest = argv
-    out, loaded = _loaded_after([command, DATA / "edge3.graph", *rest], unloaded)
+    loaded_expr = f"[m for m in {unloaded!r} if m in sys.modules]"
+    out, loaded = _fresh_run([command, DATA / "edge3.graph", *rest], loaded_expr)
     assert loaded == "[]"
     assert expected in out
 
 
 @pytest.mark.parametrize("degree", [96, 1152])
 def test_high_degree_signs_never_reach_the_interval_ladder(degree):
-    # the benchmark's reduce-highdeg graphs: every descent sign is decided in
-    # doubles, so mpmath is never imported
+    # the benchmark's reduce-highdeg graphs: the first rung reads its 120-bit
+    # table and decides every descent sign, so no later rung is built
     graph = DATA / f"highdeg{degree}.graph"
     word = "x0 x3 x0 x2 x3 x2^-1 x1 x0^-1 x3 x2^-1 x1^-1 x0^-1 x2 x3 x1"
+    setup = (
+        "from artincenter.scalar import FieldContext\n"
+        "first, later = [], []\n"
+        "table, build = FieldContext.cos_table, FieldContext.cos_enclosures\n"
+        "FieldContext.cos_table = lambda ctx: first.append(1) or table(ctx)\n"
+        "FieldContext.cos_enclosures = lambda ctx, prec: later.append(prec) or build(ctx, prec)\n"
+    )
     for argv in (["reduce", graph, word], ["coset", graph, "x0,x1", word]):
-        _out, loaded = _loaded_after(argv, ("mpmath",))
-        assert loaded == "[]", argv
+        _out, reported = _fresh_run(argv, "(len(first) > 0, later)", setup)
+        assert reported == "(True, [])", argv
+
+
+def test_package_never_imports_mpmath():
+    # mpmath is a test dependency only: the interval oracle in helpers.py
+    for path in (pathlib.Path(__file__).parent.parent / "src" / "artincenter").glob("*.py"):
+        assert "mpmath" not in path.read_text(), path

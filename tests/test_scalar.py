@@ -11,13 +11,11 @@ from artincenter.scalar import (
     MAX_FIELD_DEGREE,
     FieldContext,
     Scalar,
-    _sign_by_intervals,
-    _sign_in_doubles,
     cos_pi_over,
     cyclotomic_polynomial,
     field_context,
 )
-from helpers import cyclotomic_by_division, reduce_by_dense_fold
+from helpers import cyclotomic_by_division, reduce_by_dense_fold, sign_by_intervals
 
 # N with field degrees from 1 to 1152; 2520 is the field of labels 5, 7, 8, 9.
 ORACLE_ORDERS = list(range(1, 31)) + [180, 420, 630, 2520]
@@ -219,19 +217,42 @@ def test_cross_context_operations_rejected():
         _ = a + b
 
 
-# -- the 53-bit sign rung -----------------------------------------------------
+# -- the fixed-point sign ladder ---------------------------------------------
+
+LADDER_BITS = (256, 512, 1024, 2048, 4096)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 12, 105, 2520])
+def test_cos_tables_match_mpmath_within_their_radius(N):
+    # every table on the ladder, entry j within 8 * bits * j units of
+    # cos(j*pi/N) * 2^bits, as _cos_table proves
+    mpmath = pytest.importorskip("mpmath")
+    ctx = FieldContext(N)
+    assert ctx.cos_table() is ctx.cos_table()
+    tables = {120: ctx.cos_table()}
+    for bits in LADDER_BITS:
+        tables[bits] = ctx.cos_enclosures(bits)
+        assert ctx.cos_enclosures(bits) is tables[bits]
+    for bits, table in tables.items():
+        assert len(table) == ctx.degree and table[0] == 1 << bits
+        with mpmath.workprec(bits + 64):
+            angle = mpmath.pi / N
+            scale = mpmath.mpf(2) ** bits
+            for j in range(1, ctx.degree):
+                error = abs(table[j] - mpmath.cos(j * angle) * scale)
+                assert error <= 8 * bits * j, (N, bits, j)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 7, 12, 105, 2520, 101 * 103])
 def test_cos_doubles_match_mpmath_within_two_to_minus_52(N):
+    # the first rung's table read as doubles, over degrees up to 10200
     mpmath = pytest.importorskip("mpmath")
     ctx = FieldContext(N)
-    table = ctx.cos_doubles()
-    assert len(table) == ctx.degree and ctx.cos_doubles() is table
+    doubles = [entry / 2**120 for entry in ctx.cos_table()]
     with mpmath.workprec(256):
         bound = mpmath.mpf(2) ** -52
         angle = mpmath.pi / N
-        for j, value in enumerate(table):
+        for j, value in enumerate(doubles):
             assert abs(mpmath.mpf(value) - mpmath.cos(j * angle)) <= bound, (N, j)
 
 
@@ -245,42 +266,92 @@ def _real_polynomial(rng, ctx, terms):
     return out
 
 
+def _near_rational(value, bits):
+    # the dyadic rational with denominator 2^bits nearest to a real scalar
+    import mpmath
+
+    with mpmath.workprec(bits + 64):
+        angle = mpmath.pi / value.ctx.N
+        total = mpmath.fsum(c * mpmath.cos(j * angle) for j, c in enumerate(value.nums) if c)
+        return Fraction(int(mpmath.nint(total / value.den * mpmath.mpf(2) ** bits)), 2**bits)
+
+
+def _count_later_rungs(monkeypatch):
+    # records the precision of every call of cos_enclosures, i.e. of every
+    # rung past the first
+    calls = []
+    build = FieldContext.cos_enclosures
+    monkeypatch.setattr(
+        FieldContext, "cos_enclosures", lambda ctx, prec: calls.append(prec) or build(ctx, prec)
+    )
+    return calls
+
+
 @pytest.mark.parametrize("N", [5, 7, 9, 12, 30, 105])
-def test_double_rung_agrees_with_interval_ladder(N):
+def test_double_rung_agrees_with_interval_ladder(N, monkeypatch):
+    # the 120-bit first rung against the interval oracle: values within
+    # 2^-116 of a rational are below its radius, so they climb to the later
+    # rungs
+    pytest.importorskip("mpmath")
     rng = random.Random(N)
     ctx = FieldContext(N)
-    cosines = ctx.cos_doubles()
+    later = _count_later_rungs(monkeypatch)
     decided = undecided = 0
+    seen = set()
     for _ in range(60):
         a = _real_polynomial(rng, ctx, rng.randint(2, 6))
-        # a close rational shift makes values the doubles cannot sign
-        shift = Fraction(round(float(a) * 2**48), 2**48) if rng.random() < 0.3 else 0
-        a = a - shift
-        if a.is_zero() or a.is_rational():
+        if rng.random() < 0.3:
+            a = a - _near_rational(a, 116)
+        if a.is_zero() or a.is_rational() or a.nums in seen:
             continue
-        fast = _sign_in_doubles(a.nums, cosines)
-        slow = _sign_by_intervals(a.nums, ctx)
-        assert fast in (0, slow), (N, a)
-        assert a.sign() == slow
-        decided += fast != 0
-        undecided += fast == 0
+        seen.add(a.nums)
+        before = len(later)
+        assert a.sign() == sign_by_intervals(a), (N, a)
+        decided += len(later) == before
+        undecided += len(later) > before
     assert decided > 20 and undecided > 0
 
 
-def test_pell_near_zeros_and_huge_numerators_reach_the_ladder():
-    # p - q*sqrt(2) with p^2 - 2q^2 = +-1 is about 1/(2p): past p ~ 2^23 the
-    # doubles cannot sign it against the weight p + 2q of its numerators
+@pytest.mark.parametrize("N", ORACLE_ORDERS)
+def test_signs_agree_with_interval_oracle(N):
+    # random integer sums of cosines cos(k*pi/N) = (z^k + z^-k) / 2, real by
+    # construction, some shifted by a rational to within 2^-116 of zero
+    pytest.importorskip("mpmath")
+    rng = random.Random(1000 + N)
+    ctx = FieldContext(N)
+    for _ in range(12):
+        a = ctx.zero
+        for _ in range(rng.randint(1, 5)):
+            k = rng.randrange(2 * N)
+            a = a + (ctx.root_power(k) + ctx.root_power(-k)) * rng.randint(-9, 9)
+        a = Scalar(ctx, a.nums, a.den, real=True)
+        if rng.random() < 0.5 and not a.is_rational():
+            a = a - _near_rational(a, 116)
+        if a.is_rational():
+            assert a.sign() == (a.as_fraction() > 0) - (a.as_fraction() < 0)
+        else:
+            assert a.sign() == sign_by_intervals(a), (N, a)
+
+
+def test_pell_near_zeros_and_huge_numerators_reach_the_ladder(monkeypatch):
+    # p - q*sqrt(2) with p^2 - 2q^2 = +-1 is about 1/(2p): past p ~ 2^54 the
+    # 120-bit rung cannot sign it against the weight p + 2q of its numerators
+    pytest.importorskip("mpmath")
     ctx = FieldContext(4)
+    later = _count_later_rungs(monkeypatch)
     sqrt2 = 2 * cos_pi_over(4, ctx)
     p, q, reached = 1, 1, 0
-    while p.bit_length() < 200:
+    while p.bit_length() < 256:
         value = p - q * sqrt2
-        if _sign_in_doubles(value.nums, ctx.cos_doubles()) == 0:
-            reached += 1
-            assert value.sign() == (1 if p * p > 2 * q * q else -1)
+        before = len(later)
+        assert value.sign() == (1 if p * p > 2 * q * q else -1) == sign_by_intervals(value)
+        reached += len(later) > before
         p, q = p + 2 * q, p + q
     assert reached > 100
+    # huge numerators: the integer sums cannot overflow, so the first rung
+    # signs these without the later rungs
     for scale in (2**1024 + 1, -(3**700)):
         golden = (2 * cos_pi_over(5, field_context([5])) - 1) * scale  # (sqrt5 - 1)/2 > 0
-        assert _sign_in_doubles(golden.nums, golden.ctx.cos_doubles()) == 0
-        assert golden.sign() == (1 if scale > 0 else -1)
+        before = len(later)
+        assert golden.sign() == (1 if scale > 0 else -1) == sign_by_intervals(golden)
+        assert len(later) == before
