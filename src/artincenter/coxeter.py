@@ -1,112 +1,161 @@
 """The Coxeter group of a defining graph, with an exact word problem.
 
-Elements are matrices of the reflection representation acting on the simple
-root basis, with entries in the exact cyclotomic field of the graph's labels.
-The representation is faithful, so equality of elements is equality of
-matrices.  Every element also carries its inverse matrix, because descent
-tests read columns of the inverse: a generator s descends w on the left
-exactly when w^{-1} maps the simple root of s to a negative root.
+Elements are matrices of a reflection representation acting on the simple
+root basis.  The representation is a Cartan realization (Vinberg, Izv. Akad.
+Nauk SSSR 35 (1971); Kac, Infinite dimensional Lie algebras, Prop. 3.13):
+the generator s maps alpha_s to -alpha_s and each other alpha_c to
+alpha_c + k(s, c) alpha_s, where k(s, c) is nonzero exactly when c is a
+neighbour of s in the Coxeter diagram (labels other than 2, infinity
+included), positive, and k(s, c) * k(c, s) = 4cos^2(pi/m_sc), which is 4
+for infinity.  The coefficients need not be symmetric; for s declared
+before c:
+- labels 3, 4, 6 and infinity give k(s, c) = 1 and k(c, s) = 1, 2, 3, 4;
+- an odd m gives 2cos(pi/m) both ways;
+- an even m gives k(s, c) = 1 and k(c, s) = 2 + 2cos(2pi/m).
+So a graph whose labels all lie in {2, 3, 4, 6, infinity} has matrices of
+plain Python ints and needs no field arithmetic.  Otherwise the entries lie
+in the cyclotomic field Q(zeta_M), M the lcm of the other labels (see
+field_of).  Such a realization is faithful and has the same root theory as
+the symmetric one: every root is a nonnegative or a nonpositive combination
+of simple roots, so equality of elements is equality of matrices, and the
+same descents and reduced words follow.
+
+Every element also carries its inverse matrix, because descent tests read
+columns of the inverse: a generator s descends w on the left exactly when
+w^{-1} maps the simple root of s to a negative root.  The sign of a root is
+the sign of its first nonzero coordinate: an int's own, or Scalar.sign.
 
 A product by one generator is a generator update in O(n * deg), touching
-only the generator's neighbours in the Coxeter diagram (labels other than 2,
-infinity included): w * s negates column s and adds 2cos(pi/m_sc) times
-column s to each neighbour column c; s * w negates row s and adds
-2cos(pi/m_sc) times each neighbour row c to it.  The inverse follows from
-(w * s)^-1 = s * w^-1.  theta, the greedy strip behind reduced words and
-coset splits, and longest_element use only generator updates, and the strip
-updates the inverse alone, since (s * w)^-1 = w^-1 * s.  The dense n^3
-product is left for products of two general elements.
+only the generator's diagram neighbours: w * s negates column s and adds
+k(s, c) times column s to each neighbour column c; s * w negates row s and
+adds k(s, c) times each neighbour row c to it.  A coefficient 1 adds
+without a product.  The inverse follows from (w * s)^-1 = s * w^-1.  theta,
+the greedy strip behind reduced words and coset splits, and
+longest_element use only generator updates, and the strip updates the
+inverse alone, since (s * w)^-1 = w^-1 * s.  The dense n^3 product is left
+for products of two general elements.
 
-A non-adjacent pair contributes the standard Gram entry -1 (the limit of
--cos(pi/m)), which is what makes the length theory below valid for infinite
-groups as well.
+The symmetric Gram form, -cos(pi/m) off the diagonal, is kept only as the
+reference that the diagram classification is tested against; it has its
+own field, because cos(pi/m) for an even m is not in Q(zeta_M).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
 # The diagram classification lives in graph; coxeter keeps the names
 # is_spherical and is_affine for its callers.
-from .graph import DefiningGraph, _diagram, is_affine, is_spherical
-from .scalar import FieldContext, Scalar, cos_pi_over, field_context
+from .graph import INF, DefiningGraph, _diagram, is_affine, is_spherical
 
 if TYPE_CHECKING:
+    from .scalar import FieldContext, Scalar
     from .words import ArtinWord
 
-Matrix = tuple[tuple[Scalar, ...], ...]
+# A matrix holds ints over the int ring and Scalars over a field
+Matrix = tuple[tuple["int | Scalar", ...], ...]
+# int, or the field of the non-crystallographic labels
+Ring = Union[type, "FieldContext"]
 
 MAX_COXETER_ORDER_STEPS = 10**5
 
+# 4cos^2(pi/m) for the labels whose Cartan coefficients are ints
+_INTEGRAL = {3: 1, 4: 2, 6: 3, INF: 4}
+
 
 @lru_cache(maxsize=None)
-def field_of(g: DefiningGraph) -> FieldContext:
-    # cos(pi/2) = 0 lies in every field, so a label 2 adds nothing to N
-    return field_context(m for m in g.finite_labels() if m != 2)
+def field_of(g: DefiningGraph) -> Ring:
+    """The ring of the graph's Cartan coefficients.
+
+    int when every label lies in {2, 3, 4, 6, infinity}.  Otherwise the
+    field Q(zeta_M), M the lcm of the other labels: it holds 2cos(pi/m) for
+    an odd m and cos(2pi/m) = cos(pi/(m/2)) for an even m, so it is the
+    context of those odd m and halved even m, whose lcm N is M or M/2.
+    """
+    labels = [m if m % 2 else m // 2 for m in g.finite_labels() if m != 2 and m not in _INTEGRAL]
+    if not labels:
+        return int
+    from .scalar import field_context
+
+    return field_context(labels)
 
 
-def _identity_matrix(ctx: FieldContext, n: int) -> Matrix:
-    return tuple(
-        tuple(ctx.one if i == j else ctx.zero for j in range(n)) for i in range(n)
-    )
+def _zero_one(ring: Ring) -> tuple:
+    return (0, 1) if ring is int else (ring.zero, ring.one)
 
 
-def _mat_mul(a: Matrix, b: Matrix, ctx: FieldContext) -> Matrix:
+def _identity_matrix(ring: Ring, n: int) -> Matrix:
+    zero, one = _zero_one(ring)
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+
+
+def _mat_mul(a: Matrix, b: Matrix, ring: Ring) -> Matrix:
     n = len(a)
     bt = tuple(zip(*b)) if n else ()
-    zero = ctx.zero
+    zero = _zero_one(ring)[0]
     rows = []
     for arow in a:
         row = []
         for bcol in bt:
             acc = zero
             for x, y in zip(arow, bcol):
-                if any(x.nums) and any(y.nums):
+                if x and y:
                     acc = acc + x * y
             row.append(acc)
         rows.append(tuple(row))
     return tuple(rows)
 
 
-# (c, 2cos(pi/m_sc)) for each neighbour c of a generator s in the Coxeter
-# diagram: the nonzero off-diagonal entries of row s of its reflection
-Neighbours = tuple[tuple[int, Scalar], ...]
+# (c, k(s, c)) for each neighbour c of a generator s in the Coxeter diagram:
+# the nonzero off-diagonal entries of row s of its reflection
+Neighbours = tuple[tuple[int, "int | Scalar"], ...]
+
+
+def _cartan(m, earlier: bool, ring: Ring):
+    """k(s, c) for a diagram edge of label m, with s declared before c or not."""
+    if m in _INTEGRAL:
+        return 1 if earlier else _INTEGRAL[m]
+    from .scalar import cos_pi_over
+
+    if m % 2:
+        return 2 * cos_pi_over(m, ring)
+    return 1 if earlier else 2 + 2 * cos_pi_over(m // 2, ring)
 
 
 @lru_cache(maxsize=None)
 def _neighbours(g: DefiningGraph) -> tuple[Neighbours, ...]:
-    ctx = field_of(g)
+    ring = field_of(g)
     return tuple(
-        tuple((c, 2 * cos_pi_over(m, ctx)) for c, m in sorted(nbrs.items()))
-        for nbrs in _diagram(g)
+        tuple((c, _cartan(m, s < c, ring)) for c, m in sorted(nbrs.items()))
+        for s, nbrs in enumerate(_diagram(g))
     )
 
 
 def _times_generator(mat: Matrix, s: int, nbrs: Neighbours) -> Matrix:
     """mat * s: column s is negated and each neighbour column c gains
-    2cos(pi/m_sc) times column s."""
+    k(s, c) times column s."""
     rows = []
     for row in mat:
         x = row[s]
-        if any(x.nums):
+        if x:
             new = list(row)
             new[s] = -x
             for c, a in nbrs:
-                new[c] = new[c] + a * x
+                new[c] = new[c] + (x if a == 1 else a * x)
             row = tuple(new)
         rows.append(row)
     return tuple(rows)
 
 
 def _generator_times(mat: Matrix, s: int, nbrs: Neighbours) -> Matrix:
-    """s * mat: row s becomes -row s plus 2cos(pi/m_sc) times each neighbour
-    row c."""
+    """s * mat: row s becomes -row s plus k(s, c) times each neighbour row c."""
     new = [-x for x in mat[s]]
     for c, a in nbrs:
+        unit = a == 1
         for j, y in enumerate(mat[c]):
-            if any(y.nums):
-                new[j] = new[j] + a * y
+            if y:
+                new[j] = new[j] + (y if unit else a * y)
     return mat[:s] + (tuple(new),) + mat[s + 1 :]
 
 
@@ -139,11 +188,11 @@ class CoxeterElement:
     def __mul__(self, other: "CoxeterElement") -> "CoxeterElement":
         if self.graph != other.graph:
             raise ValueError("elements of different Coxeter groups")
-        ctx = field_of(self.graph)
+        ring = field_of(self.graph)
         return CoxeterElement(
             self.graph,
-            _mat_mul(self.mat, other.mat, ctx),
-            _mat_mul(other.inv, self.inv, ctx),
+            _mat_mul(self.mat, other.mat, ring),
+            _mat_mul(other.inv, self.inv, ring),
         )
 
     def __pow__(self, k: int) -> "CoxeterElement":
@@ -180,9 +229,9 @@ class CoxeterElement:
         # Sign of the root mat * alpha_idx; roots have one-signed coordinates,
         # so the first nonzero coordinate decides.
         for row in mat:
-            s = row[idx].sign()
-            if s:
-                return s < 0
+            x = row[idx]
+            if x:
+                return x < 0 if type(x) is int else x.sign() < 0
         raise ArithmeticError("zero column in a reflection matrix")
 
     def has_left_descent(self, v: str) -> bool:
@@ -232,7 +281,7 @@ def identity(g: DefiningGraph) -> CoxeterElement:
 @lru_cache(maxsize=None)
 def simple_reflection(g: DefiningGraph, v: str) -> CoxeterElement:
     """Reflection matrix of a generator: alpha_v -> -alpha_v and
-    alpha_u -> alpha_u + 2 cos(pi/m_uv) alpha_v for u != v."""
+    alpha_u -> alpha_u + k(v, u) alpha_v for u != v."""
     s = g.index(v)
     mat = _times_generator(identity(g).mat, s, _neighbours(g)[s])
     return CoxeterElement(g, mat, mat)
@@ -311,8 +360,11 @@ def coset_decompose(u: CoxeterElement, subset: Iterable[str]) -> CosetDecomposit
 
 
 def gram_matrix(g: DefiningGraph) -> Matrix:
-    """Symmetric bilinear form: 1 on the diagonal, -cos(pi/m_uv) off it."""
-    ctx = field_of(g)
+    """Symmetric bilinear form: 1 on the diagonal, -cos(pi/m_uv) off it,
+    over the field of every label other than 2 (not the Cartan ring's)."""
+    from .scalar import cos_pi_over, field_context
+
+    ctx = field_context(m for m in g.finite_labels() if m != 2)
     n = len(g.vertices)
     rows = []
     for i in range(n):
@@ -403,8 +455,6 @@ def longest_element(g: DefiningGraph) -> CoxeterElement:
 
 
 def is_minus_identity(w: CoxeterElement) -> bool:
-    ctx = field_of(w.graph)
+    zero, one = _zero_one(field_of(w.graph))
     n = len(w.graph.vertices)
-    return w.mat == tuple(
-        tuple(-ctx.one if i == j else ctx.zero for j in range(n)) for i in range(n)
-    )
+    return w.mat == tuple(tuple(-one if i == j else zero for j in range(n)) for i in range(n))

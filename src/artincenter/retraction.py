@@ -5,12 +5,14 @@ keeps the X-reduced part w of the Coxeter image of the prefix read so far,
 relative to the target subset X.  By Deodhar's lemma (Invent. Math. 39
 (1977)), right-multiplying w by the next generator s either stays X-reduced
 or equals s_x * w for exactly one x in X, which happens exactly when
-w s w^-1 = s_x, that is when w maps the simple root of s to that of x (the
-root is positive, as w * s is longer than w).  So the letter survives as x,
-with its original sign, exactly when column s of w's matrix is the unit
-vector of some x in X, and w is then unchanged; otherwise the letter
-vanishes and w becomes w * s, one generator update.  Plain retraction needs
-no coset split, no sign and no inverse matrix.
+w s w^-1 = s_x, that is when w maps the simple root of s onto the line of
+that of x (a reflection is fixed by the line of its root; the Cartan
+realization need not keep root lengths, so the multiple may differ from 1).
+So the letter survives as x, with its original sign, exactly when column s
+of w's matrix has a single nonzero entry and it lies in the row of some x
+in X, and w is then unchanged; otherwise the letter vanishes and w becomes
+w * s, one generator update.  Plain retraction needs no coset split, no
+sign and no inverse matrix.
 
 The trace adds the audit, built only when a trace is asked for: the coset
 split of each w * s, the subgroup part of each prefix image, and the
@@ -79,13 +81,13 @@ class RetractionTrace(NamedTuple):
 
 
 def _survivor(mat: Matrix, s: int, targets: dict[int, str]) -> str | None:
-    """The column test: the x with w(alpha_s) = alpha_x, read from column s of
-    the reduced part's matrix w, when x is a target vertex; otherwise None."""
+    """The column test: the x with w(alpha_s) on the line of alpha_x, read
+    from column s of the reduced part's matrix w, when x is a target vertex;
+    otherwise None."""
     found = None
     for r, row in enumerate(mat):
-        y = row[s]
-        if any(y.nums):
-            if found is not None or r not in targets or y != 1:
+        if row[s]:
+            if found is not None or r not in targets:
                 return None
             found = targets[r]
     return found

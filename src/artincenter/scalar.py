@@ -388,6 +388,9 @@ class Scalar:
     def is_zero(self) -> bool:
         return not any(self.nums)
 
+    def __bool__(self) -> bool:
+        return any(self.nums)
+
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
 
@@ -422,6 +425,10 @@ class Scalar:
             raise ValueError("scalars from different field contexts")
 
     def __add__(self, other):
+        if type(other) is int:
+            # other * den added to the constant term keeps the gcd with den
+            nums = (self.nums[0] + other * self.den,) + self.nums[1:]
+            return Scalar(self.ctx, nums, self.den, real=self._real)
         if isinstance(other, (int, Fraction)):
             other = self.ctx.from_rational(other)
         if not isinstance(other, Scalar):
@@ -455,6 +462,11 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other):
+        if type(other) is int:
+            nums = tuple(c * other for c in self.nums)
+            if self.den == 1:
+                return Scalar(self.ctx, nums, 1, real=self._real)
+            return Scalar(self.ctx, *_normalize(nums, self.den), real=self._real)
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
             nums = tuple(c * q.numerator for c in self.nums)

@@ -1,7 +1,10 @@
 """Shared oracles and random generators for the test suite.
 
 Oracles here are deliberately independent of the code paths they check:
-BFS over representation matrices for lengths and group orders, the spherical
+the symmetric reflection representation over the Gram field with dense
+products (the kernel before the Cartan realization) for reduced words,
+descents, coset splits and retractions, BFS over representation matrices
+for lengths and group orders, the spherical
 triangle-group order formula for expected sizes, a braid-relation rewriting
 closure for positive-word equality in rank 2, signs of Gram minors for the
 spherical and Euclidean tests, the order of the Coxeter element and the
@@ -27,7 +30,6 @@ from artincenter.coxeter import (
     _rank,
     coset_decompose,
     coxeter_number,
-    field_of,
     gram_matrix,
     identity,
     is_minus_identity,
@@ -36,8 +38,9 @@ from artincenter.coxeter import (
     theta,
 )
 from artincenter.dihedral import dihedral_equal
+from artincenter.retraction import retract, retract_trace
 from artincenter.graph import INF, DefiningGraph, make_graph
-from artincenter.scalar import Scalar
+from artincenter.scalar import FieldContext, Scalar, cos_pi_over, field_context
 from artincenter.words import ArtinWord, abelianize
 
 
@@ -87,11 +90,16 @@ def expected_finite_order(g: DefiningGraph) -> int:
     raise ValueError("only rank <= 3 supported")
 
 
+def gram_field(g: DefiningGraph) -> FieldContext:
+    """The field of the Gram form: cos(pi/m) for every label other than 2."""
+    return field_context(m for m in g.finite_labels() if m != 2)
+
+
 def spherical_by_minors(g: DefiningGraph) -> bool:
     """True iff the Gram form is positive definite, decided by exact signs of
     the leading principal minors."""
     b = gram_matrix(g)
-    ctx = field_of(g)
+    ctx = gram_field(g)
     for k in range(1, len(g.vertices) + 1):
         minor = _det([row[:k] for row in b[:k]], ctx)
         if minor.sign() <= 0:
@@ -107,7 +115,7 @@ def affine_by_deletion(g: DefiningGraph) -> bool:
     verts = g.vertices
     if not any(spherical_by_minors(g.induced(verts[:i] + verts[i + 1 :])) for i in range(len(verts))):
         return False
-    return _det(gram_matrix(g), field_of(g)).is_zero()
+    return _det(gram_matrix(g), gram_field(g)).is_zero()
 
 
 def center_exponent_by_matrices(g: DefiningGraph) -> tuple[int, bool]:
@@ -123,7 +131,7 @@ def affine_by_minors(g: DefiningGraph) -> bool:
     if n == 0:
         return False
     b = gram_matrix(g)
-    ctx = field_of(g)
+    ctx = gram_field(g)
     for size in range(1, n + 1):
         for subset in combinations(range(n), size):
             sub = [[b[i][j] for j in subset] for i in subset]
@@ -156,6 +164,146 @@ def retract_by_conjugation(
         steps.append((dec.subgroup_part, dec.reduced_part, reflection, emitted))
         prev_reduced = dec.reduced_part
     return steps
+
+
+# -- the symmetric kernel --------------------------------------------------------
+# The reflection representation that coxeter used before its Cartan
+# realization: s maps alpha_c to alpha_c + 2cos(pi/m_sc) alpha_s (2 for
+# infinity), over the Gram field, with dense matrix products only.  The
+# algorithms are the ones it ran: greedy strips of the smallest left descent,
+# coset splits by stripping descents in the subset, and the retraction's
+# column test, which in this realization asks for the unit vector of a
+# target vertex.  Words are tuples of vertex names.  Images and reduced
+# words are memoized per kernel, which sweeps over many words need.
+
+
+class SymmetricKernel:
+    def __init__(self, g: DefiningGraph):
+        ctx = gram_field(g)
+        n = len(g.vertices)
+        self.g, self.zero, self.one = g, ctx.zero, ctx.one
+        self.identity = tuple(
+            tuple(ctx.one if i == j else ctx.zero for j in range(n)) for i in range(n)
+        )
+        self.reflections = []
+        for s, v in enumerate(g.vertices):
+            rows = list(self.identity)
+            rows[s] = tuple(
+                -ctx.one if c == s else 2 * cos_pi_over(g.label(v, u), ctx)
+                for c, u in enumerate(g.vertices)
+            )
+            self.reflections.append(tuple(rows))
+        self._images = {(): (self.identity, self.identity)}
+        self._words = {}
+
+    def mul(self, a, b):
+        cols = list(zip(*b))
+        return tuple(
+            tuple(sum((x * y for x, y in zip(row, col) if x and y), self.zero) for col in cols)
+            for row in a
+        )
+
+    def image(self, word: tuple[str, ...]) -> tuple:
+        """(matrix, inverse) of the Coxeter image of a word of vertex names."""
+        found = self._images.get(word)
+        if found is None:
+            mat, inv = self.image(word[:-1])
+            refl = self.reflections[self.g.index(word[-1])]
+            found = self._images[word] = (self.mul(mat, refl), self.mul(refl, inv))
+        return found
+
+    def negative_column(self, mat, s: int) -> bool:
+        return next(row[s].sign() for row in mat if not row[s].is_zero()) < 0
+
+    def left_descents(self, inv) -> tuple[str, ...]:
+        return tuple(v for s, v in enumerate(self.g.vertices) if self.negative_column(inv, s))
+
+    def right_descents(self, mat) -> tuple[str, ...]:
+        return tuple(v for s, v in enumerate(self.g.vertices) if self.negative_column(mat, s))
+
+    def strip(self, inv, among) -> tuple[tuple[str, ...], tuple]:
+        """Stripped letters and the remainder's inverse."""
+        letters = []
+        while True:
+            v = next((v for v in among if self.negative_column(inv, self.g.index(v))), None)
+            if v is None:
+                return tuple(letters), inv
+            letters.append(v)
+            inv = self.mul(inv, self.reflections[self.g.index(v)])
+
+    def reduced_word(self, inv) -> tuple[str, ...]:
+        """Greedy strip of the smallest left descent, one letter at a time."""
+        word = self._words.get(inv)
+        if word is None:
+            g = self.g
+            v = next((v for v in g.vertices if self.negative_column(inv, g.index(v))), None)
+            rest = () if v is None else self.reduced_word(self.mul(inv, self.reflections[g.index(v)]))
+            word = self._words[inv] = () if v is None else (v,) + rest
+        return word
+
+    def coset(self, inv, subset) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """Reduced words of the subgroup part and of the reduced part."""
+        letters, rest = self.strip(inv, self.g.subset(subset))
+        return letters, self.reduced_word(rest)
+
+    def retract_trace(self, subset, word: ArtinWord):
+        """(output letters, per step the reduced words of the subgroup part,
+        the reduced part and the reflection)."""
+        g, x_set = self.g, self.g.subset(subset)
+        units = {
+            x: [self.one if r == g.index(x) else self.zero for r in range(len(g.vertices))]
+            for x in x_set
+        }
+        w = v = (self.identity, self.identity)
+        out, steps = [], []
+        for letter, e in word.letters:
+            s = g.index(letter)
+            column = [row[s] for row in w[0]]
+            x = next((x for x in x_set if column == units[x]), None)
+            refl = self.reflections[s]
+            ws = (self.mul(w[0], refl), self.mul(refl, w[1]))
+            reflection = self.mul(ws[0], w[1])
+            if x is None:
+                rest = self.strip(ws[1], x_set)[1]
+                w = (self.image(self.reduced_word(rest))[0], rest)
+            else:
+                out.append((x, e))
+                refl_x = self.reflections[g.index(x)]
+                v = (self.mul(v[0], refl_x), self.mul(refl_x, v[1]))
+            steps.append(
+                (self.reduced_word(v[1]), self.reduced_word(w[1]), self.reduced_word(reflection))
+            )
+        return tuple(out), steps
+
+
+def assert_matches_symmetric_kernel(
+    g: DefiningGraph, words, subsets, kernel: SymmetricKernel | None = None, retracts=True
+) -> None:
+    """The Cartan kernel's reduced words, descents and coset splits against
+    the symmetric kernel's, for each word and, for splits, each subset; with
+    retracts, also plain retractions and every trace step's three words."""
+    kernel = kernel or SymmetricKernel(g)
+    for word in words:
+        elem = theta(g, word)
+        mat, inv = kernel.image(tuple(v for v, _ in word.letters))
+        assert elem.reduced_word() == kernel.reduced_word(inv), (g, word)
+        assert elem.left_descents() == kernel.left_descents(inv), (g, word)
+        assert elem.right_descents() == kernel.right_descents(mat), (g, word)
+        for subset in subsets:
+            dec = coset_decompose(elem, subset)
+            split = (dec.subgroup_part.reduced_word(), dec.reduced_part.reduced_word())
+            assert split == kernel.coset(inv, subset), (g, word, subset)
+            if not retracts:
+                continue
+            output, steps = kernel.retract_trace(subset, word)
+            assert retract(g, subset, word).letters == output, (g, word, subset)
+            trace = retract_trace(g, subset, word)
+            assert trace.output.letters == output, (g, word, subset)
+            assert [
+                (st.subgroup_part.reduced_word(), st.reduced_part.reduced_word(),
+                 st.reflection.reduced_word())
+                for st in trace.steps
+            ] == steps, (g, word, subset)
 
 
 @lru_cache(maxsize=None)

@@ -309,7 +309,7 @@ def test_dihedral_normal_form_past_the_letter_guard_is_an_input_error(capsys, tm
 
 
 def test_word_commands_past_the_field_guard_are_input_errors(capsys, tmp_path):
-    # labels 10^9 and 1000003 give fields of degree 8 * 10^8 and 1000002
+    # labels 10^9 and 1000003 give fields of degree 4 * 10^8 and 1000002
     prime = tmp_path / "prime.graph"
     prime.write_text("vertices: s t\nedge s t 1000003\n")
     huge = tmp_path / "huge.graph"
@@ -327,6 +327,25 @@ def test_word_commands_past_the_field_guard_are_input_errors(capsys, tmp_path):
                 assert code == 1
                 assert out == ""
                 assert err == f"error: field exceeds the {MAX_FIELD_DEGREE}-degree guard\n"
+
+
+def test_even_label_field_is_half_the_gram_field(capsys, tmp_path):
+    # an even label m needs Q(zeta_m), of degree phi(m): 2^15 for m = 2^16,
+    # which the guard admits (the Gram form's Q(zeta_2m) would be 2^16)
+    graph = tmp_path / "pow2.graph"
+    graph.write_text("vertices: s t\nedge s t 65536\n")
+    code, out, err = run(capsys, "reduce", graph, "t s t")
+    assert (code, err) == (0, "")
+    assert out.startswith("reduced word: t s t\n")
+
+
+def test_label_past_the_halved_field_guard_is_an_input_error(capsys, tmp_path):
+    # m = 2^17 needs degree 2^16
+    graph = tmp_path / "pow2.graph"
+    graph.write_text("vertices: s t\nedge s t 131072\n")
+    code, out, err = run(capsys, "reduce", graph, "t s t")
+    assert (code, out) == (1, "")
+    assert err == f"error: field exceeds the {MAX_FIELD_DEGREE}-degree guard\n"
 
 
 FIELD_MODULES = ("artincenter.scalar", "artincenter.coxeter", "artincenter.retraction")
@@ -357,33 +376,58 @@ def _fresh_run(argv, report, setup=""):
 RECORD_MODULES = ("dataclasses", "inspect")
 
 
+# the field arithmetic: only graphs with a label outside {2, 3, 4, 6, inf} need it
+SCALAR_MODULES = ("artincenter.scalar", "fractions")
+CARTAN = "cycle46inf.graph"  # a 4-cycle labelled 4, 6, 4 and inf
+
+
 @pytest.mark.parametrize(
     "argv, expected, unloaded",
     [
-        (["analyze"], "center generators: s t s t s t", FIELD_MODULES + RECORD_MODULES),
+        (["analyze", "edge3.graph"], "center generators: s t s t s t", FIELD_MODULES + RECORD_MODULES),
         (
-            ["dihedral", "s t^-1 s"],
+            ["dihedral", "edge3.graph", "s t^-1 s"],
             "normal form: delta^-1 . t . ts . s",
             FIELD_MODULES + ("artincenter.analyzer",) + RECORD_MODULES,
         ),
-        (["reduce", "t s t"], "reduced word: s t s", ("artincenter.analyzer",) + RECORD_MODULES),
         (
-            ["retract", "s", "t s t^-1 s", "--trace"],
-            "output: s^-1",
-            ("artincenter.analyzer",) + RECORD_MODULES,
+            ["reduce", "edge3.graph", "t s t"],
+            "reduced word: s t s",
+            SCALAR_MODULES + ("artincenter.analyzer",) + RECORD_MODULES,
         ),
+        (
+            ["retract", "edge3.graph", "s", "t s t^-1 s", "--trace"],
+            "output: s^-1",
+            SCALAR_MODULES + ("artincenter.analyzer",) + RECORD_MODULES,
+        ),
+        (["reduce", CARTAN, "a b c d a b"], "left descents: {a}", SCALAR_MODULES),
+        (["coset", CARTAN, "a,c", "c a d b a"], "reduced part:  b d a", SCALAR_MODULES),
+        (["word", CARTAN, "a d a^-1 d^-1"], "Coxeter image reduced word: a d a d", SCALAR_MODULES),
+        (["retract", CARTAN, "a,b,c", "c d b^-1 d^-1 a"], "retraction: c b^-1 a", SCALAR_MODULES),
+        (["retract", CARTAN, "a,b,c", "c d b^-1 d^-1 a", "--trace"], "output: c b^-1 a", SCALAR_MODULES),
     ],
-    ids=["analyze", "dihedral", "reduce", "retract-trace"],
+    ids=["analyze", "dihedral", "reduce", "retract-trace", "reduce-cartan", "coset-cartan",
+         "word-cartan", "retract-cartan", "retract-trace-cartan"],
 )
 def test_graph_commands_do_not_load_field_arithmetic(argv, expected, unloaded):
-    # each command loads only the layers it works in; reduce and retract need
-    # the field arithmetic but not the analyzer, and no command loads
-    # dataclasses
-    command, *rest = argv
+    # each command loads only the layers it works in: the Coxeter commands
+    # need the field arithmetic only for a label outside {2, 3, 4, 6, inf},
+    # none of them needs the analyzer, and no command loads dataclasses
+    command, graph, *rest = argv
     loaded_expr = f"[m for m in {unloaded!r} if m in sys.modules]"
-    out, loaded = _fresh_run([command, DATA / "edge3.graph", *rest], loaded_expr)
+    out, loaded = _fresh_run([command, DATA / graph, *rest], loaded_expr)
     assert loaded == "[]"
     assert expected in out
+
+
+def test_non_crystallographic_graphs_load_field_arithmetic():
+    # labels 5 and 9 give the Cartan ring Q(zeta_45)
+    out, loaded = _fresh_run(
+        ["reduce", DATA / "highdeg96.graph", "x0 x2"],
+        f"[m for m in {SCALAR_MODULES!r} if m in sys.modules]",
+    )
+    assert loaded == repr(list(SCALAR_MODULES))
+    assert "reduced word: x0 x2" in out
 
 
 @pytest.mark.parametrize("degree", [96, 1152])

@@ -1,5 +1,7 @@
+import math
+import pathlib
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -21,14 +23,16 @@ from artincenter.coxeter import (
     simple_reflection,
     theta,
 )
-from artincenter.graph import INF, make_graph
+from artincenter.graph import INF, make_graph, parse_graph
 from artincenter.scalar import cos_pi_over
 from artincenter.words import ArtinWord
 
 from helpers import (
+    SymmetricKernel,
     affine_by_deletion,
     affine_by_minors,
     all_graphs,
+    assert_matches_symmetric_kernel,
     bfs_enumerate,
     center_exponent_by_matrices,
     diagram_graph,
@@ -45,6 +49,13 @@ EDGE4 = make_graph(["s", "t"], [("s", "t", 4)])
 EDGEINF = make_graph(["s", "t"], [])
 TRI233 = make_graph(["r", "s", "t"], [("r", "s", 2), ("r", "t", 3), ("s", "t", 3)])
 PATH33 = make_graph(["a", "b", "c"], [("a", "b", 3), ("b", "c", 3)])
+PATH58 = make_graph(["a", "b", "c"], [("a", "b", 5), ("b", "c", 8)])
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def _sign(x):
+    # matrix entries are ints over the int ring and Scalars over a field
+    return (x > 0) - (x < 0) if type(x) is int else x.sign()
 
 
 def test_reflections_are_involutions():
@@ -136,12 +147,12 @@ def test_reduced_word_multiplies_back():
 
 def test_one_sign_root_property():
     rng = random.Random(13)
-    for g in (TRI233, PATH33):
+    for g in (TRI233, PATH33, PATH58):
         for _ in range(30):
             w = theta(g, random_word(rng, g, rng.randrange(0, 8)))
             for v in g.vertices:
                 idx = g.index(v)
-                signs = {row[idx].sign() for row in w.inv}
+                signs = {_sign(row[idx]) for row in w.inv}
                 assert not ({1, -1} <= signs), "mixed-sign root coordinates"
 
 
@@ -368,15 +379,60 @@ def test_diagram_classifier_matches_oracles_on_random_trees_and_cycles():
 # -- generator updates against the dense products they replace -----------------
 
 
+# 4cos^2(pi/m) for the labels whose Cartan coefficients are ints
+SQUARED_COS = {3: 1, 4: 2, 6: 3, INF: 4}
+
+
+def _cartan_by_definition(g, u, v):
+    """k(u, v): 1 towards a later vertex for labels 3, 4, 6, inf and even m,
+    4cos^2(pi/m) towards an earlier one, 2cos(pi/m) both ways for odd m."""
+    ring = field_of(g)
+    one = 1 if ring is int else ring.one
+    m, earlier = g.label(u, v), g.index(u) < g.index(v)
+    if m == 2:
+        return 0 * one
+    if m in SQUARED_COS:
+        return one if earlier else SQUARED_COS[m] * one
+    if m % 2:
+        return 2 * cos_pi_over(m, ring)
+    return one if earlier else 2 * one + 2 * cos_pi_over(m // 2, ring)
+
+
 def _reflection_by_definition(g, v):
-    ctx = field_of(g)
+    ring = field_of(g)
+    zero, one = (0, 1) if ring is int else (ring.zero, ring.one)
     n, s = len(g.vertices), g.index(v)
-    rows = [tuple(ctx.one if r == c else ctx.zero for c in range(n)) for r in range(n)]
-    rows[s] = tuple(
-        -ctx.one if c == s else 2 * cos_pi_over(g.label(v, u), ctx)
-        for c, u in enumerate(g.vertices)
-    )
+    rows = [tuple(one if r == c else zero for c in range(n)) for r in range(n)]
+    rows[s] = tuple(-one if c == s else _cartan_by_definition(g, v, u) for c, u in enumerate(g.vertices))
     return CoxeterElement(g, tuple(rows), tuple(rows))
+
+
+def test_cartan_coefficients_realize_the_labels():
+    # k(s, c) * k(c, s) = 4cos^2(pi/m) (4 for inf), both positive, 0 for label 2
+    for m in list(range(2, 31)) + [INF]:
+        g = make_graph(["s", "t"], [] if m == INF else [("s", "t", m)])
+        k_st, k_ts = _cartan_by_definition(g, "s", "t"), _cartan_by_definition(g, "t", "s")
+        expected = 4.0 if m == INF else 4 * math.cos(math.pi / m) ** 2
+        assert abs(float(k_st) * float(k_ts) - expected) < 1e-12, m
+        assert (float(k_st) > 0 and float(k_ts) > 0) == (m != 2), m
+        assert (type(k_st) is int) == (m in (2, 3, 4, 6, INF)), m
+
+
+def test_cartan_ring_is_int_or_the_smallest_cyclotomic_field():
+    # the benchmark's graphs whose Gram fields have degree 96, 192, 144 and
+    # 1152 (labels other than 2) get Cartan rings of degree 24, 24, 144, 576
+    for name, degree in (("highdeg96", 24), ("highdeg1152", 576)):
+        g = parse_graph((DATA / f"{name}.graph").read_text())
+        assert field_of(g).degree == degree, name
+    for labels, degree in (((3, 4, 5, 7), 24), ((2, 5, 7, 9), 144), ((8,), 4), ((10, 5), 4)):
+        names = "abcde"[: len(labels) + 1]
+        g = make_graph(names, [(names[i], names[i + 1], m) for i, m in enumerate(labels)])
+        assert field_of(g).degree == degree, labels
+    # crystallographic labels only, cycles and infinity included: plain ints
+    for labels in ((2, 3, 2, 3, INF, 2, 3, 4, 6, INF), (6, 4, INF)):
+        g = make_graph("abcde", [(u, v, m) for (u, v), m in zip(combinations("abcde", 2), labels) if m != INF])
+        assert field_of(g) is int
+        assert {type(x) for row in theta(g, [(v, 1) for v in "abcdeedcba"]).mat for x in row} == {int}
 
 
 def _check_generator_updates(w, reflections):
@@ -424,3 +480,55 @@ def test_generator_updates_match_dense_products_on_random_words():
             for v, _ in random_word(rng, g, 10).letters:
                 _check_generator_updates(w, reflections)
                 w = w * reflections[g.index(v)]
+
+
+# -- the Cartan kernel against the symmetric one it replaced --------------------
+
+
+def _subsets(g):
+    return [c for r in range(len(g.vertices) + 1) for c in combinations(g.vertices, r)]
+
+
+def test_cartan_kernel_matches_symmetric_kernel_on_small_graphs():
+    # a seeded sample of the graphs with n <= 3 and labels 2..12 and inf:
+    # every word of at most 4 letters for reduced words, descents and coset
+    # splits on every subset, and every 4-letter word for plain and traced
+    # retraction on one seeded subset
+    labels = tuple(range(2, 13)) + (INF,)
+    graphs = [g for n in range(4) for g in all_graphs(n, labels)]
+    rng = random.Random(23)
+    for g in rng.sample(graphs, 10) + [EDGEINF, PATH58]:
+        words = [
+            ArtinWord(tuple((v, rng.choice((1, -1))) for v in w))
+            for length in range(5)
+            for w in product(g.vertices, repeat=length)
+        ]
+        kernel = SymmetricKernel(g)
+        subsets = _subsets(g)
+        assert_matches_symmetric_kernel(g, words, subsets, kernel, retracts=False)
+        for w in words:
+            if len(w) == 4:
+                assert_matches_symmetric_kernel(g, [w], [rng.choice(subsets)], kernel)
+
+
+def _cycle_graph(rng, n):
+    """A cycle on n vertices labelled 4, 6, 8, 10, 12 or inf, with each chord
+    labelled 2, 3 or inf."""
+    names = "abcdefg"[:n]
+    edges = []
+    for i, j in combinations(range(n), 2):
+        cycle_edge = j == i + 1 or (i, j) == (0, n - 1)
+        m = rng.choice((4, 6, 8, 10, 12, INF) if cycle_edge else (2, 2, 3, INF))
+        if m != INF:
+            edges.append((names[i], names[j], m))
+    return make_graph(names, edges)
+
+
+def test_cartan_kernel_matches_symmetric_kernel_on_long_words():
+    rng = random.Random(29)
+    for n in (4, 5, 6, 7):
+        g = _cycle_graph(rng, n)
+        kernel = SymmetricKernel(g)
+        words = [random_word(rng, g, rng.randrange(12, 21)) for _ in range(3)]
+        subsets = [tuple(v for v in g.vertices if rng.random() < 0.5) for _ in range(2)]
+        assert_matches_symmetric_kernel(g, words, subsets, kernel)

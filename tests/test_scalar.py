@@ -142,6 +142,27 @@ def test_field_axioms_random(N):
             assert (a / a) == ctx.one
 
 
+@pytest.mark.parametrize("N", [1, 6, 12])
+def test_int_operands_match_the_rational_path(N):
+    # Scalar * int, int * Scalar and Scalar + int scale or shift the
+    # numerators directly; they must give the canonical scalar that the
+    # embedded rational gives, keep realness and compare as before
+    rng = random.Random(N)
+    ctx = field_context([N] if N >= 2 else [])
+    values = [_random_scalar(rng, ctx) for _ in range(30)] + [ctx.zero, ctx.one]
+    for a in values:
+        for k in (-3, -1, 0, 1, 2, 4):
+            q = ctx.from_rational(k)
+            for got in (a * k, k * a):
+                assert (got.nums, got.den) == ((a * q).nums, (a * q).den), (a, k)
+                assert got._real == a._real
+            for got in (a + k, k + a):
+                assert (got.nums, got.den) == ((a + q).nums, (a + q).den), (a, k)
+                assert got._real == a._real
+    assert not ctx.zero and bool(ctx.one) and bool(ctx.from_rational(Fraction(-1, 3)))
+    assert all(bool(a) == (not a.is_zero()) for a in values)
+
+
 def test_conjugation_is_multiplicative():
     rng = random.Random(5)
     ctx = field_context([12])
