@@ -135,14 +135,15 @@ def _neighbours(g: DefiningGraph) -> tuple[Neighbours, ...]:
 def _times_generator(mat: Matrix, s: int, nbrs: Neighbours) -> Matrix:
     """mat * s: column s is negated and each neighbour column c gains
     k(s, c) times column s."""
+    units = [(c, a, a == 1) for c, a in nbrs]
     rows = []
     for row in mat:
         x = row[s]
         if x:
             new = list(row)
             new[s] = -x
-            for c, a in nbrs:
-                new[c] = new[c] + (x if a == 1 else a * x)
+            for c, a, unit in units:
+                new[c] = new[c] + (x if unit else a * x)
             row = tuple(new)
         rows.append(row)
     return tuple(rows)
@@ -359,12 +360,20 @@ def coset_decompose(u: CoxeterElement, subset: Iterable[str]) -> CosetDecomposit
 # -- Gram form: the reference the diagram classification is tested against ----
 
 
+def gram_field(g: DefiningGraph) -> FieldContext:
+    """The field of the Gram form, that of every label other than 2: for an
+    even m, cos(pi/m) is not in the Cartan ring's field."""
+    from .scalar import field_context
+
+    return field_context(m for m in g.finite_labels() if m != 2)
+
+
 def gram_matrix(g: DefiningGraph) -> Matrix:
     """Symmetric bilinear form: 1 on the diagonal, -cos(pi/m_uv) off it,
-    over the field of every label other than 2 (not the Cartan ring's)."""
-    from .scalar import cos_pi_over, field_context
+    over gram_field(g)."""
+    from .scalar import cos_pi_over
 
-    ctx = field_context(m for m in g.finite_labels() if m != 2)
+    ctx = gram_field(g)
     n = len(g.vertices)
     rows = []
     for i in range(n):
@@ -387,7 +396,7 @@ def _det(rows: Sequence[Sequence[Scalar]], ctx: FieldContext) -> Scalar:
     for r in range(n):
         nxt: dict[int, Scalar] = {}
         for mask, val in level.items():
-            if val.is_zero():
+            if not val:
                 continue
             parity = r & 1
             for j in range(n):
@@ -396,7 +405,7 @@ def _det(rows: Sequence[Sequence[Scalar]], ctx: FieldContext) -> Scalar:
                     parity ^= 1
                     continue
                 entry = rows[r][j]
-                if not entry.is_zero():
+                if entry:
                     term = val * entry if parity == 0 else -(val * entry)
                     key = mask | bit
                     acc = nxt.get(key)
@@ -412,14 +421,14 @@ def _rank(rows: Sequence[Sequence[Scalar]], ctx: FieldContext) -> int:
     n = len(work)
     rank = 0
     for col in range(n):
-        pivot = next((r for r in range(rank, n) if not work[r][col].is_zero()), None)
+        pivot = next((r for r in range(rank, n) if work[r][col]), None)
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
         inv = work[rank][col].inverse()
         for r in range(rank + 1, n):
             factor = work[r][col] * inv
-            if not factor.is_zero():
+            if factor:
                 work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
         rank += 1
     return rank

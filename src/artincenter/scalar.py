@@ -385,9 +385,6 @@ class Scalar:
 
     # -- structure ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
     def __bool__(self) -> bool:
         return any(self.nums)
 
@@ -425,10 +422,6 @@ class Scalar:
             raise ValueError("scalars from different field contexts")
 
     def __add__(self, other):
-        if type(other) is int:
-            # other * den added to the constant term keeps the gcd with den
-            nums = (self.nums[0] + other * self.den,) + self.nums[1:]
-            return Scalar(self.ctx, nums, self.den, real=self._real)
         if isinstance(other, (int, Fraction)):
             other = self.ctx.from_rational(other)
         if not isinstance(other, Scalar):
@@ -515,7 +508,7 @@ class Scalar:
 
     def inverse(self) -> "Scalar":
         """Multiplicative inverse via the extended Euclidean algorithm."""
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("scalar is zero")
         if self.is_rational():
             q = 1 / self.as_fraction()
@@ -584,7 +577,7 @@ class Scalar:
         """
         if self._sign is not None:
             return self._sign
-        if self.is_zero():
+        if not self:
             self._sign = 0
             return 0
         if self.is_rational():

@@ -30,6 +30,7 @@ from artincenter.coxeter import (
     _rank,
     coset_decompose,
     coxeter_number,
+    gram_field,
     gram_matrix,
     identity,
     is_minus_identity,
@@ -40,7 +41,7 @@ from artincenter.coxeter import (
 from artincenter.dihedral import dihedral_equal
 from artincenter.retraction import retract, retract_trace
 from artincenter.graph import INF, DefiningGraph, make_graph
-from artincenter.scalar import FieldContext, Scalar, cos_pi_over, field_context
+from artincenter.scalar import Scalar, cos_pi_over
 from artincenter.words import ArtinWord, abelianize
 
 
@@ -90,11 +91,6 @@ def expected_finite_order(g: DefiningGraph) -> int:
     raise ValueError("only rank <= 3 supported")
 
 
-def gram_field(g: DefiningGraph) -> FieldContext:
-    """The field of the Gram form: cos(pi/m) for every label other than 2."""
-    return field_context(m for m in g.finite_labels() if m != 2)
-
-
 def spherical_by_minors(g: DefiningGraph) -> bool:
     """True iff the Gram form is positive definite, decided by exact signs of
     the leading principal minors."""
@@ -115,7 +111,7 @@ def affine_by_deletion(g: DefiningGraph) -> bool:
     verts = g.vertices
     if not any(spherical_by_minors(g.induced(verts[:i] + verts[i + 1 :])) for i in range(len(verts))):
         return False
-    return _det(gram_matrix(g), gram_field(g)).is_zero()
+    return not _det(gram_matrix(g), gram_field(g))
 
 
 def center_exponent_by_matrices(g: DefiningGraph) -> tuple[int, bool]:
@@ -137,7 +133,7 @@ def affine_by_minors(g: DefiningGraph) -> bool:
             sub = [[b[i][j] for j in subset] for i in subset]
             if _det(sub, ctx).sign() < 0:
                 return False
-    return _det(b, ctx).is_zero() and _rank(b, ctx) == n - 1
+    return not _det(b, ctx) and _rank(b, ctx) == n - 1
 
 
 def retract_by_conjugation(
@@ -213,7 +209,7 @@ class SymmetricKernel:
         return found
 
     def negative_column(self, mat, s: int) -> bool:
-        return next(row[s].sign() for row in mat if not row[s].is_zero()) < 0
+        return next(row[s].sign() for row in mat if row[s]) < 0
 
     def left_descents(self, inv) -> tuple[str, ...]:
         return tuple(v for s, v in enumerate(self.g.vertices) if self.negative_column(inv, s))

@@ -92,7 +92,7 @@ def test_field_degree_guard():
 
 def test_cos_values():
     ctx = field_context([2, 3])
-    assert cos_pi_over(2, ctx).is_zero()
+    assert not cos_pi_over(2, ctx)
     assert cos_pi_over(3, ctx).as_fraction() == Fraction(1, 2)
     assert cos_pi_over(INF, ctx) == ctx.one
     ctx4 = field_context([4])
@@ -137,16 +137,16 @@ def test_field_axioms_random(N):
         assert a + b == b + a and a * b == b * a
         assert a + ctx.zero == a and a * ctx.one == a
         assert a - a == ctx.zero
-        if not a.is_zero():
+        if a:
             assert a * a.inverse() == ctx.one
             assert (a / a) == ctx.one
 
 
 @pytest.mark.parametrize("N", [1, 6, 12])
 def test_int_operands_match_the_rational_path(N):
-    # Scalar * int, int * Scalar and Scalar + int scale or shift the
-    # numerators directly; they must give the canonical scalar that the
-    # embedded rational gives, keep realness and compare as before
+    # Scalar * int and int * Scalar scale the numerators directly; they must
+    # give the canonical scalar that the embedded rational gives, keep
+    # realness and compare as before
     rng = random.Random(N)
     ctx = field_context([N] if N >= 2 else [])
     values = [_random_scalar(rng, ctx) for _ in range(30)] + [ctx.zero, ctx.one]
@@ -156,11 +156,8 @@ def test_int_operands_match_the_rational_path(N):
             for got in (a * k, k * a):
                 assert (got.nums, got.den) == ((a * q).nums, (a * q).den), (a, k)
                 assert got._real == a._real
-            for got in (a + k, k + a):
-                assert (got.nums, got.den) == ((a + q).nums, (a + q).den), (a, k)
-                assert got._real == a._real
     assert not ctx.zero and bool(ctx.one) and bool(ctx.from_rational(Fraction(-1, 3)))
-    assert all(bool(a) == (not a.is_zero()) for a in values)
+    assert all(bool(a) == any(a.nums) for a in values)
 
 
 def test_conjugation_is_multiplicative():
@@ -203,7 +200,7 @@ def test_sign_properties():
         assert a.sign() == -((-a).sign())
         sq = a * a
         assert sq.sign() >= 0
-        assert (sq.sign() == 0) == a.is_zero()
+        assert (sq.sign() == 0) == (not a)
 
 
 def test_sign_requires_real():
@@ -323,7 +320,7 @@ def test_double_rung_agrees_with_interval_ladder(N, monkeypatch):
         a = _real_polynomial(rng, ctx, rng.randint(2, 6))
         if rng.random() < 0.3:
             a = a - _near_rational(a, 116)
-        if a.is_zero() or a.is_rational() or a.nums in seen:
+        if not a or a.is_rational() or a.nums in seen:
             continue
         seen.add(a.nums)
         before = len(later)
