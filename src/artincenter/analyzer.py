@@ -106,10 +106,6 @@ class FactorAnalysis(NamedTuple):
     child: AnalysisReport | None           # analysis of the cone subgraph
     generator: ArtinWord | None            # center generator for spherical factors
 
-    @property
-    def resolved(self) -> bool:
-        return self.kind != UNKNOWN
-
     def to_dict(self) -> dict:
         return {
             "vertices": list(self.graph.vertices),
@@ -138,39 +134,6 @@ class AnalysisReport(NamedTuple):
             "factors": [f.to_dict() for f in self.factors],
             "reasoning": [r.to_dict() for r in self.reasoning],
         }
-
-    def to_text(self, indent: str = "") -> str:
-        lines = []
-        verts = " ".join(self.graph.vertices) or "(empty)"
-        lines.append(f"{indent}graph: {verts}")
-        lines.append(f"{indent}irreducible factors: {len(self.factors)}")
-        for i, f in enumerate(self.factors, start=1):
-            head = f"{indent}factor {i} {{{', '.join(f.graph.vertices)}}}: {f.kind}"
-            if f.reason:
-                head += f" ({f.reason})"
-            lines.append(head)
-            if f.generator is not None:
-                lines.append(f"{indent}  center generator: {f.generator.to_text()}")
-            if f.cone_points is not None:
-                lines.append(
-                    f"{indent}  cone points: {{{', '.join(f.cone_points)}}}"
-                )
-            if f.child is not None:
-                lines.append(f"{indent}  cone subgraph analysis:")
-                lines.append(f.child.to_text(indent + "    "))
-        for step in self.reasoning:
-            lines.append(
-                f"{indent}rule[{step.rule}] on {{{', '.join(step.factor)}}}: {step.statement}"
-            )
-        status = "ESTABLISHED" if self.established else "NOT ESTABLISHED"
-        lines.append(
-            f"{indent}{status}: center rank "
-            f"{self.center_rank if self.established else 'undetermined, at least ' + str(self.center_rank)}"
-        )
-        if self.center_generators:
-            gens = "; ".join(w.to_text() for w in self.center_generators)
-            lines.append(f"{indent}center generators: {gens}")
-        return "\n".join(lines)
 
 
 def is_two_dimensional(g: DefiningGraph) -> bool:
@@ -222,62 +185,39 @@ def _resolve_factor(
     factor: DefiningGraph,
     max_vertices: int,
     base_rules: tuple[tuple[str, object], ...],
-) -> tuple[FactorAnalysis, list[ReasoningStep]]:
-    verts = factor.vertices
+) -> tuple[FactorAnalysis, ReasoningStep]:
     premises: list[tuple[str, bool]] = []
+
+    def verdict(rule, kind, cone=None, child=None, generator=None):
+        reason = rule if kind == ESTABLISHED_TRIVIAL else None
+        step = ReasoningStep(factor.vertices, rule, _RULE_STATEMENTS[rule], tuple(premises))
+        return FactorAnalysis(factor, kind, reason, cone, child, generator), step
 
     spherical = is_spherical(factor)
     premises.append(("is_spherical", spherical))
     if spherical:
-        gen = spherical_center_generator(factor)
-        step = ReasoningStep(verts, SPHERICAL, _RULE_STATEMENTS[SPHERICAL], tuple(premises))
-        return (
-            FactorAnalysis(factor, SPHERICAL, None, None, None, gen),
-            [step],
-        )
+        return verdict(SPHERICAL, SPHERICAL, generator=spherical_center_generator(factor))
 
     for reason, predicate in base_rules:
         holds = bool(predicate(factor))
         premises.append((predicate.__name__, holds))
         if holds:
-            step = ReasoningStep(verts, reason, _RULE_STATEMENTS[reason], tuple(premises))
-            return (
-                FactorAnalysis(factor, ESTABLISHED_TRIVIAL, reason, None, None, None),
-                [step],
-            )
+            return verdict(reason, ESTABLISHED_TRIVIAL)
 
     clique = factor.is_clique()
     premises.append(("is_clique", clique))
     cone = factor.cone_points()
     premises.append(("has_cone_points", bool(cone)))
+    if clique:
+        return verdict("UNKNOWN_CLIQUE", UNKNOWN, cone)
+    if not cone:
+        return verdict(NOT_CONE, ESTABLISHED_TRIVIAL, cone)
 
-    if not clique and not cone:
-        step = ReasoningStep(verts, NOT_CONE, _RULE_STATEMENTS[NOT_CONE], tuple(premises))
-        return (
-            FactorAnalysis(factor, ESTABLISHED_TRIVIAL, NOT_CONE, cone, None, None),
-            [step],
-        )
-
-    if not clique:
-        child = establish(factor.induced(cone), max_vertices=max_vertices, _base_rules=base_rules)
-        premises.append(("cone_subgraph_established", child.established))
-        if child.established:
-            step = ReasoningStep(
-                verts, CONE_RECURSION, _RULE_STATEMENTS[CONE_RECURSION], tuple(premises)
-            )
-            return (
-                FactorAnalysis(factor, ESTABLISHED_TRIVIAL, CONE_RECURSION, cone, child, None),
-                [step],
-            )
-        step = ReasoningStep(
-            verts, "UNKNOWN_CONE", _RULE_STATEMENTS["UNKNOWN_CONE"], tuple(premises)
-        )
-        return (FactorAnalysis(factor, UNKNOWN, None, cone, child, None), [step])
-
-    step = ReasoningStep(
-        verts, "UNKNOWN_CLIQUE", _RULE_STATEMENTS["UNKNOWN_CLIQUE"], tuple(premises)
-    )
-    return (FactorAnalysis(factor, UNKNOWN, None, cone, None, None), [step])
+    child = establish(factor.induced(cone), max_vertices=max_vertices, _base_rules=base_rules)
+    premises.append(("cone_subgraph_established", child.established))
+    if child.established:
+        return verdict(CONE_RECURSION, ESTABLISHED_TRIVIAL, cone, child)
+    return verdict("UNKNOWN_CONE", UNKNOWN, cone, child)
 
 
 def establish(
@@ -295,19 +235,14 @@ def establish(
         raise ValueError(
             f"graph has {len(g.vertices)} vertices; guard is {max_vertices}"
         )
-    factors: list[FactorAnalysis] = []
-    reasoning: list[ReasoningStep] = []
-    for factor in g.join_factors():
-        analysis, steps = _resolve_factor(factor, max_vertices, _base_rules)
-        factors.append(analysis)
-        reasoning.extend(steps)
-    established = all(f.resolved for f in factors)
+    verdicts = [_resolve_factor(f, max_vertices, _base_rules) for f in g.join_factors()]
+    factors = tuple(analysis for analysis, _ in verdicts)
     generators = tuple(f.generator for f in factors if f.generator is not None)
     return AnalysisReport(
         graph=g,
-        factors=tuple(factors),
-        established=established,
+        factors=factors,
+        established=all(f.kind != UNKNOWN for f in factors),
         center_rank=len(generators),
         center_generators=generators,
-        reasoning=tuple(reasoning),
+        reasoning=tuple(step for _, step in verdicts),
     )

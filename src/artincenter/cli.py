@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Every command reads a graph file and emits either human-readable text or,
-with --json, a stable envelope {command, version, input, result}.  The
-analyze command's exit code triages corpora: 0 when the center is certified,
-2 when any factor is inconclusive, 1 on input errors.
+Every command reads a graph file and builds one JSON result.  With --json it
+prints the stable envelope {command, version, input, result}; otherwise it
+prints a text rendering of that result, so text and JSON agree by
+construction.  The analyze command's exit code triages corpora: 0 when the
+center is certified, 2 when any factor is inconclusive, 1 on input errors.
 
 Each command imports the layer it works in when it runs: analyze, split and
 dihedral never load the field arithmetic, and only analyze loads the
@@ -19,14 +20,10 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .graph import INF, MAX_VERTICES, DefiningGraph, parse_graph
-from .words import MAX_LETTERS, ArtinWord, abelianize, parse_word
-
-if TYPE_CHECKING:
-    from .analyzer import AnalysisReport
+from .words import MAX_LETTERS, abelianize, parse_word
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -41,42 +38,69 @@ def _load_graph(path: str) -> tuple[DefiningGraph, dict]:
 
 
 def _envelope(command: str, input_info: dict, result: dict) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "input": input_info,
-        "result": result,
-    }
+    return {"command": command, "version": __version__, "input": input_info, "result": result}
 
 
-def _emit(args, envelope: dict, text: str) -> None:
+def _emit(args, command: str, info: dict, result: dict, render) -> None:
+    """Print the envelope under --json, otherwise the text render(result)."""
     if args.json:
-        print(json.dumps(envelope, indent=2, sort_keys=True))
+        print(json.dumps(_envelope(command, info, result), indent=2, sort_keys=True))
     else:
-        print(text)
+        print(render(result))
 
 
-def _word_text(w: ArtinWord) -> str:
-    return w.to_text() or "1"
+def _spell(names) -> str:
+    """A word given as its letters, with the identity written 1."""
+    return " ".join(names) or "1"
+
+
+def _braces(names) -> str:
+    return "{" + ", ".join(names) + "}"
 
 
 # -- analyze ----------------------------------------------------------------
 
 
-def _analyze_one(path: str, max_vertices: int) -> tuple[dict, AnalysisReport, int]:
+def _analyze_one(path: str, max_vertices: int) -> tuple[dict, dict, int]:
     from .analyzer import establish
 
     g, info = _load_graph(path)
     report = establish(g, max_vertices=max_vertices)
     code = EXIT_OK if report.established else EXIT_UNKNOWN
-    return _envelope("analyze", info, report.to_dict()), report, code
+    return info, report.to_dict(), code
+
+
+def _render_analysis(report: dict, indent: str = "") -> str:
+    lines = [
+        f"{indent}graph: {' '.join(report['vertices']) or '(empty)'}",
+        f"{indent}irreducible factors: {len(report['factors'])}",
+    ]
+    for i, f in enumerate(report["factors"], start=1):
+        reason = f" ({f['reason']})" if f["reason"] else ""
+        lines.append(f"{indent}factor {i} {_braces(f['vertices'])}: {f['kind']}{reason}")
+        if f["generator"] is not None:
+            lines.append(f"{indent}  center generator: {f['generator']}")
+        if f["cone_points"] is not None:
+            lines.append(f"{indent}  cone points: {_braces(f['cone_points'])}")
+        if f["child"] is not None:
+            lines.append(f"{indent}  cone subgraph analysis:")
+            lines.append(_render_analysis(f["child"], indent + "    "))
+    for step in report["reasoning"]:
+        factor = _braces(step["factor"])
+        lines.append(f"{indent}rule[{step['rule']}] on {factor}: {step['statement']}")
+    rank = report["center_rank"]
+    if report["established"]:
+        lines.append(f"{indent}ESTABLISHED: center rank {rank}")
+    else:
+        lines.append(f"{indent}NOT ESTABLISHED: center rank undetermined, at least {rank}")
+    if report["center_generators"]:
+        lines.append(f"{indent}center generators: {'; '.join(report['center_generators'])}")
+    return "\n".join(lines)
 
 
 def cmd_analyze(args) -> int:
     if args.dir:
-        paths = sorted(
-            str(p) for p in Path(args.dir).iterdir() if p.suffix == ".graph"
-        )
+        paths = sorted(str(p) for p in Path(args.dir).iterdir() if p.suffix == ".graph")
         if not paths:
             print(f"no .graph files in {args.dir}", file=sys.stderr)
             return EXIT_ERROR
@@ -85,11 +109,11 @@ def cmd_analyze(args) -> int:
         summary = []
         for path in paths:
             try:
-                envelope, _report, code = _analyze_one(path, args.max_vertices)
+                info, result, code = _analyze_one(path, args.max_vertices)
                 out = Path(path).with_suffix(".report.json")
                 fd, tmp = tempfile.mkstemp(dir=str(out.parent), suffix=".tmp")
                 with os.fdopen(fd, "w") as fh:
-                    json.dump(envelope, fh, indent=2, sort_keys=True)
+                    json.dump(_envelope("analyze", info, result), fh, indent=2, sort_keys=True)
                 os.replace(tmp, out)
             except Exception as exc:  # one bad file must not stop the batch
                 saw_error = True
@@ -97,8 +121,8 @@ def cmd_analyze(args) -> int:
                 summary.append({"path": path, "error": str(exc)})
                 continue
             worst = max(worst, code)
-            established = envelope["result"]["established"]
-            rank = envelope["result"]["center_rank"]
+            established = result["established"]
+            rank = result["center_rank"]
             summary.append({"path": path, "established": established, "center_rank": rank})
             if not args.json:
                 status = "established" if established else "unknown"
@@ -107,12 +131,32 @@ def cmd_analyze(args) -> int:
             print(json.dumps(summary, indent=2, sort_keys=True))
         return EXIT_ERROR if saw_error else worst
 
-    envelope, report, code = _analyze_one(args.graph, args.max_vertices)
-    _emit(args, envelope, "" if args.json else report.to_text())
+    info, result, code = _analyze_one(args.graph, args.max_vertices)
+    _emit(args, "analyze", info, result, _render_analysis)
     return code
 
 
 # -- word-level commands ------------------------------------------------------
+
+
+def _letter(vertex: str, exponent: int) -> str:
+    return vertex if exponent == 1 else f"{vertex}^-1"
+
+
+def _render_retract(result: dict) -> str:
+    output = result["output"] or "1"
+    if "trace" not in result:
+        return f"retraction: {output}"
+    header = f"retraction onto {_braces(result['subset'])}"
+    lines = [header, "-" * len(header)]
+    lines.append(f"{'i':>3}  {'letter':<8} {'subgroup part':<20} {'reduced part':<20} {'reflection':<24} emitted")
+    for row in result["trace"]:
+        letter = _letter(*row["letter"])
+        vp, wp, refl = (_spell(row[k]) for k in ("subgroup_part", "reduced_part", "reflection"))
+        emitted = "-" if row["emitted"] is None else _letter(*row["emitted"])
+        lines.append(f"{row['position'] + 1:>3}  {letter:<8} {vp:<20} {wp:<20} {refl:<24} {emitted}")
+    lines.append(f"output: {output}")
+    return "\n".join(lines)
 
 
 def cmd_retract(args) -> int:
@@ -123,12 +167,7 @@ def cmd_retract(args) -> int:
     word = parse_word(args.word, g)
     trace = retract_trace(g, subset, word) if args.trace else None
     output = retract(g, subset, word) if trace is None else trace.output
-    result = {
-        "subset": list(subset),
-        "word": args.word,
-        "output": output.to_text(),
-    }
-    text_lines = [f"retraction: {_word_text(output)}"]
+    result = {"subset": list(subset), "word": args.word, "output": output.to_text()}
     if trace is not None:
         result["trace"] = [
             {
@@ -141,9 +180,17 @@ def cmd_retract(args) -> int:
             }
             for s in trace.steps
         ]
-        text_lines = [trace.to_text()]
-    _emit(args, _envelope("retract", info, result), "\n".join(text_lines))
+    _emit(args, "retract", info, result, _render_retract)
     return EXIT_OK
+
+
+def _render_reduce(result: dict) -> str:
+    return (
+        f"reduced word: {_spell(result['reduced_word'])}\n"
+        f"length: {result['length']}\n"
+        f"left descents: {_braces(result['left_descents'])}\n"
+        f"right descents: {_braces(result['right_descents'])}"
+    )
 
 
 def cmd_reduce(args) -> int:
@@ -152,23 +199,23 @@ def cmd_reduce(args) -> int:
     g, info = _load_graph(args.graph)
     word = parse_word(args.word, g)
     image = theta(g, word)
+    reduced = image.reduced_word()
     result = {
         "word": args.word,
-        "reduced_word": list(image.reduced_word()),
-        "length": image.length(),
+        "reduced_word": list(reduced),
+        "length": len(reduced),
         "left_descents": list(image.left_descents()),
         "right_descents": list(image.right_descents()),
     }
-    text = "\n".join(
-        [
-            f"reduced word: {' '.join(image.reduced_word()) or '1'}",
-            f"length: {image.length()}",
-            f"left descents: {{{', '.join(image.left_descents())}}}",
-            f"right descents: {{{', '.join(image.right_descents())}}}",
-        ]
-    )
-    _emit(args, _envelope("reduce", info, result), text)
+    _emit(args, "reduce", info, result, _render_reduce)
     return EXIT_OK
+
+
+def _render_coset(result: dict) -> str:
+    return (
+        f"subgroup part: {_spell(result['subgroup_part'])}\n"
+        f"reduced part:  {_spell(result['reduced_part'])}"
+    )
 
 
 def cmd_coset(args) -> int:
@@ -183,14 +230,18 @@ def cmd_coset(args) -> int:
         "subgroup_part": list(dec.subgroup_part.reduced_word()),
         "reduced_part": list(dec.reduced_part.reduced_word()),
     }
-    text = "\n".join(
-        [
-            f"subgroup part: {' '.join(dec.subgroup_part.reduced_word()) or '1'}",
-            f"reduced part:  {' '.join(dec.reduced_part.reduced_word()) or '1'}",
-        ]
-    )
-    _emit(args, _envelope("coset", info, result), text)
+    _emit(args, "coset", info, result, _render_coset)
     return EXIT_OK
+
+
+def _render_split(result: dict) -> str:
+    left, base, right = result["left"], result["base"], result["right"]
+    return (
+        f"A{_braces(left)} *_A{_braces(base)} A{_braces(right)}\n"
+        f"left  = graph minus {result['x']}: vertices {' '.join(left) or '(none)'}\n"
+        f"base  = graph minus both:  vertices {' '.join(base) or '(none)'}\n"
+        f"right = graph minus {result['y']}: vertices {' '.join(right) or '(none)'}"
+    )
 
 
 def cmd_split(args) -> int:
@@ -203,17 +254,20 @@ def cmd_split(args) -> int:
         "base": list(base.vertices),
         "right": list(right.vertices),
     }
-    fmt = lambda h: "{" + ", ".join(h.vertices) + "}"
-    text = "\n".join(
-        [
-            f"A{fmt(left)} *_A{fmt(base)} A{fmt(right)}",
-            f"left  = graph minus {args.x}: vertices {' '.join(left.vertices) or '(none)'}",
-            f"base  = graph minus both:  vertices {' '.join(base.vertices) or '(none)'}",
-            f"right = graph minus {args.y}: vertices {' '.join(right.vertices) or '(none)'}",
-        ]
-    )
-    _emit(args, _envelope("split", info, result), text)
+    _emit(args, "split", info, result, _render_split)
     return EXIT_OK
+
+
+def _render_word(result: dict) -> str:
+    counts = ", ".join(f"{v}:{k}" for v, k in result["abelianization"].items())
+    return (
+        f"letters: {result['length']}\n"
+        f"positive: {result['positive']}\n"
+        f"support: {_braces(result['support'])}\n"
+        f"abelianization: {counts}\n"
+        f"pure (trivial Coxeter image): {result['pure']}\n"
+        f"Coxeter image reduced word: {_spell(result['coxeter_image'])}"
+    )
 
 
 def cmd_word(args) -> int:
@@ -231,19 +285,17 @@ def cmd_word(args) -> int:
         "pure": image.is_identity(),
         "coxeter_image": list(image.reduced_word()),
     }
-    text = "\n".join(
-        [
-            f"letters: {len(word)}",
-            f"positive: {word.is_positive()}",
-            f"support: {{{', '.join(result['support'])}}}",
-            "abelianization: "
-            + ", ".join(f"{v}:{k}" for v, k in result["abelianization"].items()),
-            f"pure (trivial Coxeter image): {result['pure']}",
-            f"Coxeter image reduced word: {' '.join(result['coxeter_image']) or '1'}",
-        ]
-    )
-    _emit(args, _envelope("word", info, result), text)
+    _emit(args, "word", info, result, _render_word)
     return EXIT_OK
+
+
+def _render_dihedral(result: dict) -> str:
+    if "equal" in result:
+        return f"equal: {result['equal']}"
+    if "free_reduced" in result:
+        return f"freely reduced: {result['free_reduced'] or '1'}"
+    nf = result["normal_form"]
+    return f"normal form: delta^{nf['delta_power']} . {' . '.join(nf['factors']) or '1'}"
 
 
 def cmd_dihedral(args) -> int:
@@ -256,27 +308,18 @@ def cmd_dihedral(args) -> int:
     m = g.label(*gens)
     word = parse_word(args.word, g)
     result: dict = {"label": "inf" if m == INF else m, "generators": list(gens)}
-    if args.word2 is None:
-        if m == INF:
-            reduced = free_reduce(word)
-            result["free_reduced"] = reduced.to_text()
-            text = f"freely reduced: {_word_text(reduced)}"
-        else:
-            nf = garside_nf(int(m), word, gens)
-            # the factors are spelled out letter by letter; refuse before that
-            if sum(k for _, k in nf.factors) > MAX_LETTERS:
-                raise ValueError(f"normal form exceeds the {MAX_LETTERS}-letter guard")
-            factors = [
-                "".join(gens[(s + i) % 2] for i in range(k)) for s, k in nf.factors
-            ]
-            result["normal_form"] = {"delta_power": nf.delta_power, "factors": factors}
-            text = f"normal form: delta^{nf.delta_power} . {' . '.join(factors) or '1'}"
+    if args.word2 is not None:
+        result["equal"] = dihedral_equal(m, word, parse_word(args.word2, g), gens)
+    elif m == INF:
+        result["free_reduced"] = free_reduce(word).to_text()
     else:
-        other = parse_word(args.word2, g)
-        equal = dihedral_equal(m if m != INF else INF, word, other, gens)
-        result["equal"] = equal
-        text = f"equal: {equal}"
-    _emit(args, _envelope("dihedral", info, result), text)
+        nf = garside_nf(int(m), word, gens)
+        # the factors are spelled out letter by letter; refuse before that
+        if sum(k for _, k in nf.factors) > MAX_LETTERS:
+            raise ValueError(f"normal form exceeds the {MAX_LETTERS}-letter guard")
+        factors = ["".join(gens[(s + i) % 2] for i in range(k)) for s, k in nf.factors]
+        result["normal_form"] = {"delta_power": nf.delta_power, "factors": factors}
+    _emit(args, "dihedral", info, result, _render_dihedral)
     return EXIT_OK
 
 
@@ -292,19 +335,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="emit a JSON envelope")
-
     p = sub.add_parser("analyze", help="certify the center of a graph's Artin group")
     p.add_argument("graph", nargs="?", help="graph file")
     p.add_argument("--dir", help="analyze every .graph file in a directory")
-    p.add_argument(
-        "--max-vertices",
-        type=int,
-        default=MAX_VERTICES,
-        help=f"vertex-count guard (default {MAX_VERTICES})",
-    )
-    common(p)
+    guard = f"vertex-count guard (default {MAX_VERTICES})"
+    p.add_argument("--max-vertices", type=int, default=MAX_VERTICES, help=guard)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("retract", help="retract a word onto a vertex subset")
@@ -312,42 +347,38 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("subset", help="comma-separated vertex names")
     p.add_argument("word")
     p.add_argument("--trace", action="store_true", help="show the per-letter audit")
-    common(p)
     p.set_defaults(func=cmd_retract)
 
     p = sub.add_parser("reduce", help="canonical reduced word of the Coxeter image")
     p.add_argument("graph")
     p.add_argument("word")
-    common(p)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("coset", help="split the Coxeter image across a standard subgroup")
     p.add_argument("graph")
     p.add_argument("subset", help="comma-separated vertex names")
     p.add_argument("word")
-    common(p)
     p.set_defaults(func=cmd_coset)
 
     p = sub.add_parser("split", help="amalgam decomposition over a non-adjacent pair")
     p.add_argument("graph")
     p.add_argument("x")
     p.add_argument("y")
-    common(p)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("word", help="positivity, support, abelianization, purity")
     p.add_argument("graph")
     p.add_argument("word")
-    common(p)
     p.set_defaults(func=cmd_word)
 
     p = sub.add_parser("dihedral", help="rank-2 normal form or equality")
     p.add_argument("graph", help="graph file with exactly two vertices")
     p.add_argument("word")
     p.add_argument("word2", nargs="?", help="second word for an equality test")
-    common(p)
     p.set_defaults(func=cmd_dihedral)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="emit a JSON envelope")
     return parser
 
 

@@ -57,27 +57,8 @@ class RetractionStep(NamedTuple):
 
 
 class RetractionTrace(NamedTuple):
-    graph: DefiningGraph
-    subset: tuple[str, ...]
-    word: ArtinWord
     steps: tuple[RetractionStep, ...]
     output: ArtinWord
-
-    def to_text(self) -> str:
-        header = f"retraction onto {{{', '.join(self.subset)}}}"
-        lines = [header, "-" * len(header)]
-        lines.append(f"{'i':>3}  {'letter':<8} {'subgroup part':<20} {'reduced part':<20} {'reflection':<24} emitted")
-        for s in self.steps:
-            letter = s.vertex if s.exponent == 1 else f"{s.vertex}^-1"
-            vp = " ".join(s.subgroup_part.reduced_word()) or "1"
-            wp = " ".join(s.reduced_part.reduced_word()) or "1"
-            refl = " ".join(s.reflection.reduced_word()) or "1"
-            emitted = "-" if s.emitted is None else (
-                s.emitted[0] if s.emitted[1] == 1 else f"{s.emitted[0]}^-1"
-            )
-            lines.append(f"{s.position + 1:>3}  {letter:<8} {vp:<20} {wp:<20} {refl:<24} {emitted}")
-        lines.append(f"output: {self.output.to_text() or '1'}")
-        return "\n".join(lines)
 
 
 def _survivor(mat: Matrix, s: int, targets: dict[int, str]) -> str | None:
@@ -145,4 +126,4 @@ def retract_trace(
             )
         )
     output = ArtinWord(tuple(s.emitted for s in steps if s.emitted is not None))
-    return RetractionTrace(graph=g, subset=x_set, word=word, steps=tuple(steps), output=output)
+    return RetractionTrace(steps=tuple(steps), output=output)

@@ -338,15 +338,13 @@ def cos_pi_over(m: int | float, ctx: FieldContext) -> "Scalar":
     if cached is None:
         k = ctx.N // m
         val = ctx.root_power(k) + ctx.root_power(2 * ctx.N - k)
-        cached = Scalar(ctx, val.nums, 2 * val.den, real=True)._normalized()
+        cached = Scalar(ctx, *_normalize(val.nums, 2 * val.den), real=True)
         ctx._cos_pi_cache[m] = cached
     return cached
 
 
 def _normalize(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
-    if den < 0:
-        nums = [-c for c in nums]
-        den = -den
+    # every caller passes a positive denominator
     if den != 1:
         g = den
         for c in nums:
@@ -376,12 +374,6 @@ class Scalar:
         self.den = den
         self._real = real
         self._sign = None
-
-    def _normalized(self) -> "Scalar":
-        nums, den = _normalize(self.nums, self.den)
-        if nums == self.nums and den == self.den:
-            return self
-        return Scalar(self.ctx, nums, den, real=self._real)
 
     # -- structure ---------------------------------------------------------
 

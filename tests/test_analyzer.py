@@ -14,6 +14,7 @@ from artincenter.analyzer import (
     is_two_dimensional,
     spherical_center_generator,
 )
+from artincenter.cli import _render_analysis
 from artincenter.coxeter import field_of, is_affine, is_spherical
 from artincenter.dihedral import dihedral_center_generator, dihedral_equal
 from artincenter.graph import INF, make_graph
@@ -251,7 +252,7 @@ def test_report_serialization():
     assert payload["center_rank"] == 0
     assert payload["factors"][0]["reason"] == CONE_RECURSION
     assert payload["factors"][0]["child"]["established"] is True
-    text = report.to_text()
+    text = _render_analysis(payload)
     assert "CONE_RECURSION" in text and "ESTABLISHED" in text
 
 

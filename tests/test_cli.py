@@ -8,9 +8,11 @@ import sys
 import jsonschema
 import pytest
 
-from artincenter import retraction
+from artincenter import cli, retraction
+from artincenter.analyzer import AnalysisReport
 from artincenter.cli import main
 from artincenter.graph import parse_graph
+from artincenter.retraction import RetractionTrace
 from artincenter.scalar import MAX_FIELD_DEGREE, FieldContext
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -97,6 +99,31 @@ def test_analyze_text_and_json_agree(capsys):
     assert f"center rank {env['result']['center_rank']}" in text
 
 
+# The text layouts, pinned byte for byte: the cone-subgraph block nests one
+# indented report inside another.
+HIGHDEG96_ANALYSIS = """\
+graph: x0 x1 x2 x3 x4
+irreducible factors: 1
+factor 1 {x0, x1, x2, x3, x4}: ESTABLISHED_TRIVIAL (CONE_RECURSION)
+  cone points: {x0, x2}
+  cone subgraph analysis:
+    graph: x0 x2
+    irreducible factors: 1
+    factor 1 {x0, x2}: SPHERICAL
+      center generator: x0 x2 x0 x2 x0 x2 x0 x2 x0 x2
+    rule[SPHERICAL] on {x0, x2}: the factor has a finite Coxeter quotient, so its center is infinite cyclic, generated by a power of the product of its generators
+    ESTABLISHED: center rank 1
+    center generators: x0 x2 x0 x2 x0 x2 x0 x2 x0 x2
+rule[CONE_RECURSION] on {x0, x1, x2, x3, x4}: the center lies in the subgroup generated by the cone points, whose analysis is complete; an irreducible non-clique factor is of infinite type, so its center is trivial
+ESTABLISHED: center rank 0
+"""
+
+
+def test_analyze_text_layout(capsys):
+    code, out, err = run(capsys, "analyze", DATA / "highdeg96.graph")
+    assert (code, out, err) == (0, HIGHDEG96_ANALYSIS, "")
+
+
 def test_analyze_dir(capsys, tmp_path):
     for name in ("single_vertex", "triangle333", "unknown_clique"):
         (tmp_path / f"{name}.graph").write_text((DATA / f"{name}.graph").read_text())
@@ -128,6 +155,22 @@ def test_retract_command(capsys):
     assert [row["emitted"] for row in trace] == [None, ["s", 1], None]
     code, out, _ = run(capsys, "retract", DATA / "handtrace.graph", "s,t", "r", "--trace")
     assert "output: 1" in out
+
+
+HANDTRACE_TRACE = """\
+retraction onto {s, t}
+----------------------
+  i  letter   subgroup part        reduced part         reflection               emitted
+  1  r        1                    r                    r                        -
+  2  s        s                    r                    s                        s
+  3  r^-1     s                    1                    r                        -
+output: s
+"""
+
+
+def test_retract_trace_text_layout(capsys):
+    code, out, err = run(capsys, "retract", DATA / "handtrace.graph", "s,t", "r s r^-1", "--trace")
+    assert (code, out, err) == (0, HANDTRACE_TRACE, "")
 
 
 def test_retract_bad_subset(capsys):
@@ -250,6 +293,36 @@ def test_dihedral_command(capsys):
     assert env["result"]["free_reduced"] == "s^2"
     code, _, err = run(capsys, "dihedral", DATA / "handtrace.graph", "s")
     assert code == 1  # needs exactly two vertices
+
+
+def test_json_output_renders_no_text(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("text rendered under --json")
+
+    helpers = ["_spell", "_braces", "_letter"]
+    renderers = [name for name in vars(cli) if name.startswith("_render_")]
+    assert len(renderers) == 7
+    for name in renderers + helpers:
+        monkeypatch.setattr(cli, name, refuse)
+    (tmp_path / "g.graph").write_text((DATA / "highdeg96.graph").read_text())
+    cases = [
+        ("analyze", DATA / "highdeg96.graph"),
+        ("analyze", "--dir", tmp_path),
+        ("retract", DATA / "handtrace.graph", "s,t", "r s r^-1"),
+        ("retract", DATA / "handtrace.graph", "s,t", "r s r^-1", "--trace"),
+        ("reduce", DATA / "handtrace.graph", "r s t r"),
+        ("coset", DATA / "handtrace.graph", "s", "s t"),
+        ("split", DATA / "path33.graph", "a", "c"),
+        ("word", DATA / "handtrace.graph", "r s r^-1 s^-1"),
+        ("dihedral", DATA / "edge3.graph", "s t s t"),
+        ("dihedral", DATA / "edge3.graph", "s t s", "t s t"),
+        ("dihedral", DATA / "edgeinf.graph", "s t t^-1 s"),
+    ]
+    for argv in cases:
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 0 and err == "", argv
+        json.loads(out)
+    assert not hasattr(AnalysisReport, "to_text") and not hasattr(RetractionTrace, "to_text")
 
 
 def test_round_trip_normalization(capsys, tmp_path):
