@@ -23,7 +23,6 @@ replayable record of the predicates that justified it.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import NamedTuple
 
 from .graph import (
@@ -137,10 +136,26 @@ class AnalysisReport(NamedTuple):
 
 
 def is_two_dimensional(g: DefiningGraph) -> bool:
-    """True iff no three vertices induce a spherical subgraph."""
-    for triple in combinations(g.vertices, 3):
-        if is_spherical(g.induced(triple)):
-            return False
+    """True iff no three vertices induce a spherical subgraph.
+
+    An infinite label makes a triple non-spherical, so only triangles of
+    finite labels p, q, r count, and such a triangle is spherical exactly
+    when 1/p + 1/q + 1/r > 1, that is qr + pr + pq > pqr.  The triangles
+    are read off the adjacency of each vertex to the later ones.
+    """
+    labels = g._labels
+    later: list[list[int]] = [[] for _ in g.vertices]
+    for i, j, _ in g.edges:  # sorted, so each list is increasing
+        later[i].append(j)
+    for i, nbrs in enumerate(later):
+        for a, j in enumerate(nbrs):
+            p = labels[i, j]
+            for k in nbrs[a + 1 :]:
+                q = labels.get((j, k))
+                if q is not None:
+                    r = labels[i, k]
+                    if q * r + p * r + p * q > p * q * r:
+                        return False
     return True
 
 

@@ -15,26 +15,37 @@ numbers are bounded away from zero, so the ladder terminates; the 4096-bit
 cap is a loud guard against bugs, not a domain error.
 
 The modulus is the Moebius product prod_{d | 2N} (x^d - 1)^mu(2N/d),
-multiplied and divided one binomial at a time in linear passes.  Reduction
-first folds with x^N = -1 (the modulus divides x^N + 1), then through the
-nonzero terms of the modulus below its degree only, so field set-up and each
-reduction cost in proportion to the modulus's sparsity rather than its
-degree.
+multiplied and divided one binomial at a time in linear passes.  For an n
+that is not squarefree, Phi_n(x) = Phi_r(x^(n/r)) with r the radical of n
+(the product of its distinct primes), so the passes run only over the
+binomials of Phi_r: Phi_2520, of degree 576, is Phi_210, of degree 48, in
+x^12.  Reduction first folds with x^N = -1 (the modulus divides x^N + 1),
+then through the nonzero terms of the modulus below its degree only, so
+field set-up and each reduction cost in proportion to the modulus's
+sparsity rather than its degree.
 
 All values used by the reflection representation are real; realness is a
 flag propagated through arithmetic and checked against conjugation (the
 substitution x -> x^(2N-1)) only when a value is built from raw coefficients.
 Conjugation is the only user of the table of all 2N root powers.
+
+Arithmetic with int or Scalar operands works on integer numerators and
+denominators alone; fractions is imported only where a Fraction is given or
+returned (from_rational given a non-int, from_coeffs, as_fraction, inverse,
+division and Fraction operands), since loading it adds 3 ms or more to a
+process's start-up.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Largest field degree phi(2N) a context is built for.  Labels 101 and 103
 # give degree 10200, where `reduce` on a five-letter word takes about 7 s; a
@@ -158,10 +169,17 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     squarefree n/d contribute.  The binomials with mu = +1 are multiplied in
     first, one shift-and-subtract pass each, and those with mu = -1 are then
     divided out exactly, so the cost is linear in the degree per binomial.
+    An n that is not squarefree gives Phi_r(x^(n/r)), r its radical.
     """
     if n < 1:
         raise ValueError("n must be positive")
     primes = _prime_factors(n)
+    radical = math.prod(primes)
+    if radical != n:
+        base = cyclotomic_polynomial(radical)
+        poly = [0] * ((len(base) - 1) * (n // radical) + 1)
+        poly[:: n // radical] = base
+        return tuple(poly)
     times, over = [], []
     for r in range(len(primes) + 1):
         for subset in combinations(primes, r):
@@ -216,12 +234,17 @@ class FieldContext:
     # -- construction ----------------------------------------------------
 
     def from_rational(self, q: int | Fraction) -> "Scalar":
-        q = Fraction(q)
+        if not isinstance(q, int):
+            from fractions import Fraction
+
+            q = Fraction(q)
         nums = (q.numerator,) + (0,) * (self.degree - 1)
         return Scalar(self, *_normalize(nums, q.denominator), real=True)
 
     def from_coeffs(self, coeffs: Sequence[int | Fraction]) -> "Scalar":
         """Scalar from rational coefficients of powers of the root, any length."""
+        from fractions import Fraction
+
         den = 1
         for c in coeffs:
             den = den * Fraction(c).denominator // math.gcd(den, Fraction(c).denominator)
@@ -343,6 +366,15 @@ def cos_pi_over(m: int | float, ctx: FieldContext) -> "Scalar":
     return cached
 
 
+def _rational_operand(q) -> bool:
+    """An int or a Fraction; fractions is imported for other operands only."""
+    if isinstance(q, int):
+        return True
+    from fractions import Fraction
+
+    return isinstance(q, Fraction)
+
+
 def _normalize(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     # every caller passes a positive denominator
     if den != 1:
@@ -384,6 +416,8 @@ class Scalar:
         return not any(self.nums[1:])
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         if not self.is_rational():
             raise ValueError("scalar is not rational")
         return Fraction(self.nums[0], self.den)
@@ -414,10 +448,10 @@ class Scalar:
             raise ValueError("scalars from different field contexts")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ctx.from_rational(other)
         if not isinstance(other, Scalar):
-            return NotImplemented
+            if not _rational_operand(other):
+                return NotImplemented
+            other = self.ctx.from_rational(other)
         self._check(other)
         a, b = self, other
         if not any(a.nums):
@@ -441,34 +475,35 @@ class Scalar:
         return Scalar(self.ctx, tuple(-c for c in self.nums), self.den, real=self._real)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Scalar) else -Fraction(other))
+        if isinstance(other, Scalar) or _rational_operand(other):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scale(self, num: int, den: int) -> "Scalar":
+        """self * num/den, for a positive den."""
+        if num == den == 1:
+            return self
+        nums = tuple(c * num for c in self.nums)
+        den *= self.den
+        if den == 1:
+            return Scalar(self.ctx, nums, 1, real=self._real)
+        return Scalar(self.ctx, *_normalize(nums, den), real=self._real)
+
     def __mul__(self, other):
-        if type(other) is int:
-            nums = tuple(c * other for c in self.nums)
-            if self.den == 1:
-                return Scalar(self.ctx, nums, 1, real=self._real)
-            return Scalar(self.ctx, *_normalize(nums, self.den), real=self._real)
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            nums = tuple(c * q.numerator for c in self.nums)
-            return Scalar(
-                self.ctx, *_normalize(nums, self.den * q.denominator), real=self._real
-            )
         if not isinstance(other, Scalar):
+            if _rational_operand(other):
+                return self._scale(other.numerator, other.denominator)
             return NotImplemented
         self._check(other)
         if not any(self.nums) or not any(other.nums):
             return self.ctx.zero
         if self.is_rational():
-            q = Fraction(self.nums[0], self.den)
-            return other * q if q != 1 else other
+            return other._scale(self.nums[0], self.den)
         if other.is_rational():
-            q = Fraction(other.nums[0], other.den)
-            return self * q if q != 1 else self
+            return self._scale(other.nums[0], other.den)
         a, b = self.nums, other.nums
         d = self.ctx.degree
         conv = [0] * (2 * d - 1)
@@ -502,6 +537,8 @@ class Scalar:
         """Multiplicative inverse via the extended Euclidean algorithm."""
         if not self:
             raise ZeroDivisionError("scalar is zero")
+        from fractions import Fraction
+
         if self.is_rational():
             q = 1 / self.as_fraction()
             return self.ctx.from_rational(q)
@@ -536,6 +573,8 @@ class Scalar:
         return result
 
     def __truediv__(self, other):
+        from fractions import Fraction
+
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / Fraction(other))
         if not isinstance(other, Scalar):
@@ -545,11 +584,12 @@ class Scalar:
     # -- comparison / hashing ------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.as_fraction() == other
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.ctx.N == other.ctx.N and self.nums == other.nums and self.den == other.den
+        if isinstance(other, Scalar):
+            return self.ctx.N == other.ctx.N and self.nums == other.nums and self.den == other.den
+        if _rational_operand(other):
+            ratio = (other.numerator, other.denominator)
+            return self.is_rational() and (self.nums[0], self.den) == ratio
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.ctx.N, self.nums, self.den))
@@ -612,7 +652,8 @@ class Scalar:
 
     def __repr__(self) -> str:
         if self.is_rational():
-            return f"Scalar({self.as_fraction()})"
+            q = self.nums[0] if self.den == 1 else f"{self.nums[0]}/{self.den}"
+            return f"Scalar({q})"
         terms = []
         for j, c in enumerate(self.nums):
             if c:

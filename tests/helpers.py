@@ -9,7 +9,8 @@ triangle-group order formula for expected sizes, a braid-relation rewriting
 closure for positive-word equality in rank 2, signs of Gram minors for the
 spherical and Euclidean tests, the order of the Coxeter element and the
 longest element by matrix products for the center generator's exponent,
-an exhaustive sweep over vertex subsets for the FC-type test,
+an exhaustive sweep over vertex subsets for the FC-type test, every
+induced triple for the two-dimensional test,
 retraction by explicit conjugation of each letter's generator, cyclotomic
 polynomials by the product recursion with dense division, reduction by a
 dense fold through every lower coefficient of the modulus, signs of real
@@ -40,7 +41,7 @@ from artincenter.coxeter import (
 )
 from artincenter.dihedral import dihedral_equal
 from artincenter.retraction import retract, retract_trace
-from artincenter.graph import INF, DefiningGraph, make_graph
+from artincenter.graph import INF, DefiningGraph, is_spherical, make_graph
 from artincenter.scalar import Scalar, cos_pi_over
 from artincenter.words import ArtinWord, abelianize
 
@@ -389,6 +390,15 @@ def fc_by_subsets(g: DefiningGraph) -> bool:
             if all(g.adjacent(u, v) for u, v in combinations(subset, 2)):
                 if not spherical_by_minors(g.induced(subset)):
                     return False
+    return True
+
+
+def two_dimensional_by_triples(g: DefiningGraph) -> bool:
+    """No three vertices induce a spherical subgraph, tested on every induced
+    triple through the diagram classification."""
+    for triple in combinations(g.vertices, 3):
+        if is_spherical(g.induced(triple)):
+            return False
     return True
 
 

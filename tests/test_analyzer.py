@@ -20,6 +20,7 @@ from artincenter.dihedral import dihedral_center_generator, dihedral_equal
 from artincenter.graph import INF, make_graph
 
 from helpers import (
+    all_graphs,
     diagram_graph,
     fc_by_subsets,
     named_diagrams,
@@ -27,6 +28,7 @@ from helpers import (
     random_graph,
     random_single_cone_graph,
     small_graphs,
+    two_dimensional_by_triples,
 )
 
 CONE_FIXTURE = make_graph(
@@ -49,6 +51,21 @@ def test_is_two_dimensional():
     # vacuous below three vertices
     assert is_two_dimensional(make_graph(["a", "b"], [("a", "b", 7)]))
     assert is_two_dimensional(make_graph([], []))
+
+
+def test_is_two_dimensional_matches_triple_oracle():
+    # every graph on at most 4 vertices, then seeded graphs on up to 10
+    labels = (2, 3, 4, 5, 6, INF)
+    for n in range(5):
+        for g in all_graphs(n, labels):
+            assert is_two_dimensional(g) == two_dimensional_by_triples(g), g
+    # label pools from dense spherical triangles to sparse hyperbolic ones,
+    # so that both answers occur often
+    pools = (labels + (7, 8, 12), (3, 4, 5, 6, INF), (2, 3, INF, INF, INF), (3, 4, 7, INF))
+    rng = random.Random(14)
+    for _ in range(400):
+        g = random_graph(rng, rng.randrange(5, 11), rng.choice(pools))
+        assert is_two_dimensional(g) == two_dimensional_by_triples(g), g
 
 
 def test_is_fc_type():

@@ -448,6 +448,10 @@ def _fresh_run(argv, report, setup=""):
 # dataclasses costs about 10 ms of start-up, most of it in importing inspect
 RECORD_MODULES = ("dataclasses", "inspect")
 
+# OpenSSL's hashlib backend costs 4-6 ms of start-up; the input digest uses
+# the interpreter's own SHA-256
+OPENSSL_MODULES = ("_hashlib",)
+
 
 # the field arithmetic: only graphs with a label outside {2, 3, 4, 6, inf} need it
 SCALAR_MODULES = ("artincenter.scalar", "fractions")
@@ -485,8 +489,10 @@ CARTAN = "cycle46inf.graph"  # a 4-cycle labelled 4, 6, 4 and inf
 def test_graph_commands_do_not_load_field_arithmetic(argv, expected, unloaded):
     # each command loads only the layers it works in: the Coxeter commands
     # need the field arithmetic only for a label outside {2, 3, 4, 6, inf},
-    # none of them needs the analyzer, and no command loads dataclasses
+    # none of them needs the analyzer, and no command loads dataclasses or
+    # OpenSSL
     command, graph, *rest = argv
+    unloaded += OPENSSL_MODULES
     loaded_expr = f"[m for m in {unloaded!r} if m in sys.modules]"
     out, loaded = _fresh_run([command, DATA / graph, *rest], loaded_expr)
     assert loaded == "[]"
@@ -494,13 +500,33 @@ def test_graph_commands_do_not_load_field_arithmetic(argv, expected, unloaded):
 
 
 def test_non_crystallographic_graphs_load_field_arithmetic():
-    # labels 5 and 9 give the Cartan ring Q(zeta_45)
+    # labels 5 and 9 give the Cartan ring Q(zeta_45); its arithmetic needs
+    # neither fractions nor decimal, and the digest needs no OpenSSL
+    modules = ("artincenter.scalar", "fractions", "decimal") + OPENSSL_MODULES
     out, loaded = _fresh_run(
         ["reduce", DATA / "highdeg96.graph", "x0 x2"],
-        f"[m for m in {SCALAR_MODULES!r} if m in sys.modules]",
+        f"[m for m in {modules!r} if m in sys.modules]",
     )
-    assert loaded == repr(list(SCALAR_MODULES))
+    assert loaded == "['artincenter.scalar']"
     assert "reduced word: x0 x2" in out
+
+
+@pytest.mark.parametrize("builtin", [True, False], ids=["builtin", "hashlib-fallback"])
+def test_input_digest_is_sha256(builtin, monkeypatch):
+    # the envelope's digest comes from the interpreter's own SHA-256 module,
+    # or from hashlib where the build has neither _sha2 nor _sha256
+    import hashlib
+
+    if not builtin:
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+    paths = sorted(DATA.glob("*.graph"))
+    assert paths
+    for path in paths:
+        _g, info = cli._load_graph(str(path))
+        assert info == {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+    if builtin:
+        assert ("_sha2" if sys.version_info >= (3, 12) else "_sha256") in sys.modules
 
 
 @pytest.mark.parametrize("degree", [96, 1152])

@@ -23,7 +23,8 @@ ORACLE_ORDERS = list(range(1, 31)) + [180, 420, 630, 2520]
 
 def test_cyclotomic_against_sympy():
     x = sympy.Symbol("x")
-    for n in list(range(1, 40)) + [48, 60, 90, 360, 840, 1260, 5040]:
+    # 630 and 2520: the modulus of the benchmark's fields of degree 144 and 576
+    for n in list(range(1, 40)) + [48, 60, 90, 360, 630, 840, 1260, 2520, 5040]:
         ours = cyclotomic_polynomial(n)
         theirs = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
         assert list(ours) == [int(c) for c in theirs], n
@@ -158,6 +159,39 @@ def test_int_operands_match_the_rational_path(N):
                 assert got._real == a._real
     assert not ctx.zero and bool(ctx.one) and bool(ctx.from_rational(Fraction(-1, 3)))
     assert all(bool(a) == any(a.nums) for a in values)
+
+
+@pytest.mark.parametrize("N", [1, 6, 45])
+def test_rational_operands_match_coefficient_arithmetic(N):
+    # + - * == with int and Fraction operands, and the rational shortcut of
+    # Scalar * Scalar, work on integer numerators and denominators; each must
+    # give the scalar built from the Fraction coefficients of the result
+    rng = random.Random(N)
+    ctx = field_context([N] if N >= 2 else [])
+    values = [_random_scalar(rng, ctx) for _ in range(12)] + [ctx.zero, ctx.one]
+    values += [ctx.from_rational(Fraction(-3, 4))] + ([cos_pi_over(N, ctx)] if N >= 2 else [])
+    operands = [0, 1, -1, 3, Fraction(1), Fraction(-2, 3), Fraction(5, 6)]
+    for a in values:
+        coeffs = [Fraction(c, a.den) for c in a.nums]
+        for q in operands:
+            times = ctx.from_coeffs([c * q for c in coeffs])
+            plus = ctx.from_coeffs([coeffs[0] + q] + coeffs[1:])
+            minus = ctx.from_coeffs([coeffs[0] - q] + coeffs[1:])
+            for got, want in (
+                (a * q, times), (q * a, times), (a * ctx.from_rational(q), times),
+                (ctx.from_rational(q) * a, times), (a + q, plus), (q + a, plus),
+                (a - q, minus), (q - a, -minus),
+            ):
+                assert (got.nums, got.den) == (want.nums, want.den), (a, q)
+            assert (a == q) == (a.is_rational() and coeffs[0] == q), (a, q)
+    assert repr(ctx.from_rational(Fraction(-2, 3))) == "Scalar(-2/3)"
+    assert repr(ctx.from_rational(5)) == "Scalar(5)"
+    for other in (0.5, "1", None):
+        with pytest.raises(TypeError):
+            _ = ctx.one * other
+        with pytest.raises(TypeError):
+            _ = ctx.one + other
+        assert ctx.one != other
 
 
 def test_conjugation_is_multiplicative():
