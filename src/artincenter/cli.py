@@ -17,8 +17,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
-from pathlib import Path
 
 from . import __version__
 from .graph import INF, MAX_VERTICES, DefiningGraph, parse_graph
@@ -42,7 +40,8 @@ def _sha256(data: bytes) -> str:
 
 
 def _load_graph(path: str) -> tuple[DefiningGraph, dict]:
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     g = parse_graph(data.decode("utf-8"))
     return g, {"path": path, "sha256": _sha256(data)}
 
@@ -110,6 +109,10 @@ def _render_analysis(report: dict, indent: str = "") -> str:
 
 def cmd_analyze(args) -> int:
     if args.dir:
+        # only a directory run lists files and writes reports
+        import tempfile
+        from pathlib import Path
+
         paths = sorted(str(p) for p in Path(args.dir).iterdir() if p.suffix == ".graph")
         if not paths:
             print(f"no .graph files in {args.dir}", file=sys.stderr)

@@ -107,9 +107,10 @@ def _mat_mul(a: Matrix, b: Matrix, ring: Ring) -> Matrix:
     return tuple(rows)
 
 
-# (c, k(s, c)) for each neighbour c of a generator s in the Coxeter diagram:
-# the nonzero off-diagonal entries of row s of its reflection
-Neighbours = tuple[tuple[int, "int | Scalar"], ...]
+# (c, k(s, c), k(s, c) == 1) for each neighbour c of a generator s in the
+# Coxeter diagram: the nonzero off-diagonal entries of row s of its
+# reflection, each with its unit flag, computed once per graph
+Neighbours = tuple[tuple[int, "int | Scalar", bool], ...]
 
 
 def _cartan(m, earlier: bool, ring: Ring):
@@ -126,23 +127,23 @@ def _cartan(m, earlier: bool, ring: Ring):
 @lru_cache(maxsize=None)
 def _neighbours(g: DefiningGraph) -> tuple[Neighbours, ...]:
     ring = field_of(g)
-    return tuple(
-        tuple((c, _cartan(m, s < c, ring)) for c, m in sorted(nbrs.items()))
-        for s, nbrs in enumerate(_diagram(g))
-    )
+    rows = []
+    for s, nbrs in enumerate(_diagram(g)):
+        coefficients = [(c, _cartan(m, s < c, ring)) for c, m in sorted(nbrs.items())]
+        rows.append(tuple((c, k, k == 1) for c, k in coefficients))
+    return tuple(rows)
 
 
 def _times_generator(mat: Matrix, s: int, nbrs: Neighbours) -> Matrix:
     """mat * s: column s is negated and each neighbour column c gains
     k(s, c) times column s."""
-    units = [(c, a, a == 1) for c, a in nbrs]
     rows = []
     for row in mat:
         x = row[s]
         if x:
             new = list(row)
             new[s] = -x
-            for c, a, unit in units:
+            for c, a, unit in nbrs:
                 new[c] = new[c] + (x if unit else a * x)
             row = tuple(new)
         rows.append(row)
@@ -152,8 +153,7 @@ def _times_generator(mat: Matrix, s: int, nbrs: Neighbours) -> Matrix:
 def _generator_times(mat: Matrix, s: int, nbrs: Neighbours) -> Matrix:
     """s * mat: row s becomes -row s plus k(s, c) times each neighbour row c."""
     new = [-x for x in mat[s]]
-    for c, a in nbrs:
-        unit = a == 1
+    for c, a, unit in nbrs:
         for j, y in enumerate(mat[c]):
             if y:
                 new[j] = new[j] + (y if unit else a * y)

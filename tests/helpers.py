@@ -13,13 +13,16 @@ an exhaustive sweep over vertex subsets for the FC-type test, every
 induced triple for the two-dimensional test,
 retraction by explicit conjugation of each letter's generator, cyclotomic
 polynomials by the product recursion with dense division, reduction by a
-dense fold through every lower coefficient of the modulus, signs of real
-field elements by outward-rounded mpmath interval sums, and rank-2 Garside
-normal forms by fixed-point combing of a simple-factor list.
+dense fold through every lower coefficient of the modulus, field products
+by the schoolbook convolution over every coefficient of both operands, sums
+by Fraction coefficients, signs of real field elements by outward-rounded
+mpmath interval sums, and rank-2 Garside normal forms by fixed-point
+combing of a simple-factor list.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -42,7 +45,7 @@ from artincenter.coxeter import (
 from artincenter.dihedral import dihedral_equal
 from artincenter.retraction import retract, retract_trace
 from artincenter.graph import INF, DefiningGraph, is_spherical, make_graph
-from artincenter.scalar import Scalar, cos_pi_over
+from artincenter.scalar import FieldContext, Scalar, cos_pi_over
 from artincenter.words import ArtinWord, abelianize
 
 
@@ -338,9 +341,43 @@ def reduce_by_dense_fold(modulus: tuple[int, ...], nums: list[int]) -> tuple[int
     work = list(nums) + [0] * max(0, d - len(nums))
     for k in range(len(work) - 1, d - 1, -1):
         c = work.pop()
-        for t in range(d):
-            work[k - d + t] -= c * modulus[t]
+        if c:
+            for t in range(d):
+                work[k - d + t] -= c * modulus[t]
     return tuple(work)
+
+
+def scalar_from_fractions(ctx: FieldContext, coeffs) -> Scalar:
+    """The canonical scalar of d reduced Fraction coefficients: integer
+    numerators over their least common denominator, divided by the gcd."""
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    nums = [int(c * den) for c in coeffs]
+    g = math.gcd(den, *nums)
+    return Scalar(ctx, tuple(c // g for c in nums), den // g)
+
+
+def mul_by_schoolbook(a: Scalar, b: Scalar) -> Scalar:
+    """a * b by the full convolution over every coefficient of both operands,
+    reduced by the dense fold: the field product before it went sparse."""
+    ctx = a.ctx
+    d = ctx.degree
+    conv = [0] * (2 * d - 1)
+    for i, x in enumerate(a.nums):
+        if x:
+            for j, y in enumerate(b.nums):
+                if y:
+                    conv[i + j] += x * y
+    nums = reduce_by_dense_fold(ctx.modulus, conv)
+    return scalar_from_fractions(ctx, [Fraction(c, a.den * b.den) for c in nums])
+
+
+def add_by_coefficients(a: Scalar, b: Scalar, sign: int = 1) -> Scalar:
+    """a + sign * b, coefficient by coefficient in Fractions."""
+    return scalar_from_fractions(
+        a.ctx, [Fraction(x, a.den) + sign * Fraction(y, b.den) for x, y in zip(a.nums, b.nums)]
+    )
 
 
 INTERVAL_LADDER = (64, 128, 256, 512, 1024, 2048, 4096)

@@ -424,9 +424,10 @@ def test_label_past_the_halved_field_guard_is_an_input_error(capsys, tmp_path):
 FIELD_MODULES = ("artincenter.scalar", "artincenter.coxeter", "artincenter.retraction")
 
 
-def _fresh_run(argv, report, setup=""):
-    """Run the CLI in a fresh interpreter after the setup lines; return its
-    stdout and the repr of the report expression evaluated afterwards."""
+def _fresh_run(argv, report, setup="", flags=()):
+    """Run the CLI in a fresh interpreter, started with the flags, after the
+    setup lines; return its stdout and the repr of the report expression
+    evaluated afterwards."""
     script = (
         "import sys\n"
         f"{setup}"
@@ -437,7 +438,7 @@ def _fresh_run(argv, report, setup=""):
     )
     src = str(pathlib.Path(__file__).parent.parent / "src")
     done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True,
+        [sys.executable, *flags, "-c", script], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
     assert done.returncode == 0, done.stderr
@@ -497,6 +498,39 @@ def test_graph_commands_do_not_load_field_arithmetic(argv, expected, unloaded):
     out, loaded = _fresh_run([command, DATA / graph, *rest], loaded_expr)
     assert loaded == "[]"
     assert expected in out
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["reduce", "edge3.graph", "t s t"], "reduced word: s t s"),
+        (["reduce", "highdeg96.graph", "x0 x2"], "reduced word: x0 x2"),
+        (["dihedral", "edge3.graph", "s t^-1 s"], "normal form: delta^-1 . t . ts . s"),
+        (["analyze", "edge3.graph"], "center generators: s t s t s t"),
+    ],
+    ids=["reduce", "reduce-field", "dihedral", "analyze"],
+)
+def test_single_file_commands_do_not_load_tempfile_or_pathlib(argv, expected):
+    # only analyze --dir lists a directory and writes reports; -S keeps site,
+    # which may load both itself, out of the interpreter's start-up
+    command, graph, *rest = argv
+    modules = ("tempfile", "pathlib")
+    out, loaded = _fresh_run(
+        [command, DATA / graph, *rest], f"[m for m in {modules!r} if m in sys.modules]", flags=("-S",)
+    )
+    assert loaded == "[]"
+    assert expected in out
+
+
+def test_analyze_dir_loads_tempfile_and_pathlib(tmp_path):
+    # the control for the test above: the -S run sees what --dir loads
+    (tmp_path / "edge3.graph").write_text((DATA / "edge3.graph").read_text())
+    modules = ("tempfile", "pathlib")
+    out, loaded = _fresh_run(
+        ["analyze", "--dir", tmp_path], f"[m for m in {modules!r} if m in sys.modules]", flags=("-S",)
+    )
+    assert loaded == repr(list(modules))
+    assert "edge3.graph: established, center rank 1" in out
 
 
 def test_non_crystallographic_graphs_load_field_arithmetic():

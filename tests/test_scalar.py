@@ -15,7 +15,14 @@ from artincenter.scalar import (
     cyclotomic_polynomial,
     field_context,
 )
-from helpers import cyclotomic_by_division, reduce_by_dense_fold, sign_by_intervals
+from helpers import (
+    add_by_coefficients,
+    cyclotomic_by_division,
+    mul_by_schoolbook,
+    reduce_by_dense_fold,
+    scalar_from_fractions,
+    sign_by_intervals,
+)
 
 # N with field degrees from 1 to 1152; 2520 is the field of labels 5, 7, 8, 9.
 ORACLE_ORDERS = list(range(1, 31)) + [180, 420, 630, 2520]
@@ -192,6 +199,81 @@ def test_rational_operands_match_coefficient_arithmetic(N):
         with pytest.raises(TypeError):
             _ = ctx.one + other
         assert ctx.one != other
+
+
+# Every N up to 30, and the benchmark's fields of degree 24, 144 and 576
+SPARSE_ORDERS = list(range(1, 31)) + [45, 315, 1260]
+
+
+def _operands(rng: random.Random, ctx: FieldContext) -> list[Scalar]:
+    """Zero, rationals, single terms (the top one included), sparse, dense
+    and all-negative elements, some over a denominator other than 1."""
+    d = ctx.degree
+
+    def build(terms, den=1):
+        coeffs = [Fraction(0)] * d
+        for j, c in terms:
+            coeffs[j] = Fraction(c, den)
+        return scalar_from_fractions(ctx, coeffs)
+
+    def coefficient():
+        return rng.choice((-1, 1)) * rng.choice((1, 2, 3, 7, 12, 10**20 + 1))
+
+    values = [ctx.zero, ctx.one, build([(0, -1)]), build([(0, 3)], 4), build([(0, -5)], 6)]
+    for j in {d - 1, rng.randrange(d)}:
+        values.append(build([(j, coefficient())], rng.choice((1, 2, 9))))
+    for k in (2, 5, 25):
+        if k < d:
+            values.append(build([(j, coefficient()) for j in rng.sample(range(d), k)], rng.choice((1, 6))))
+    values.append(build([(j, coefficient()) for j in range(d)]))
+    values.append(build([(j, coefficient()) for j in range(d)], 10))
+    values.append(build([(j, -rng.randrange(1, 9)) for j in range(d)]))
+    values.append(build([(j, -rng.randrange(1, 9)) for j in rng.sample(range(d), min(d, 4))], 3))
+    return values
+
+
+def _pairs(rng: random.Random, values: list[Scalar], degree: int) -> list[tuple[Scalar, Scalar]]:
+    # the dense-fold oracle walks the whole convolution, so the fields of
+    # degree 144 and 576 check a sample of the pairs
+    pairs = [(a, b) for a in values for b in values]
+    if degree > 24:
+        pairs = rng.sample(pairs, 60 if degree <= 144 else 25)
+    return pairs
+
+
+@pytest.mark.parametrize("N", SPARSE_ORDERS)
+def test_sparse_arithmetic_matches_schoolbook(N):
+    # products over the nonzero terms, and sums, differences and negation
+    # mapped over the numerators, give the canonical scalar of the schoolbook
+    # product and of Fraction coefficient arithmetic
+    rng = random.Random(f"sparse:{N}")
+    ctx = FieldContext(N)
+    values = _operands(rng, ctx)
+    for a, b in _pairs(rng, values, ctx.degree):
+        assert a * b == mul_by_schoolbook(a, b), (a, b)
+        assert a + b == add_by_coefficients(a, b), (a, b)
+        assert a - b == add_by_coefficients(a, b, -1), (a, b)
+    for a in values:
+        assert -a == add_by_coefficients(ctx.zero, a, -1), a
+        assert a.nonzero_terms() == tuple((j, c) for j, c in enumerate(a.nums) if c)
+        for q in (0, 1, -1, 3, Fraction(-2, 3), Fraction(5, 6)):
+            q_scalar = scalar_from_fractions(ctx, [Fraction(q)] + [Fraction(0)] * (ctx.degree - 1))
+            times = mul_by_schoolbook(a, q_scalar)
+            assert a * q == times and q * a == times, (a, q)
+            plus, minus = add_by_coefficients(a, q_scalar), add_by_coefficients(a, q_scalar, -1)
+            assert a + q == plus and q + a == plus and a - q == minus and q - a == -minus, (a, q)
+
+
+def test_schoolbook_oracle_flags_a_product_missing_its_last_term(monkeypatch):
+    # a product that drops each operand's last nonzero term differs from the
+    # oracle on every pair of nonzero operands
+    rng = random.Random(7)
+    ctx = FieldContext(45)
+    values = _operands(rng, ctx)
+    pairs = [(a, b) for a in values for b in values if a and b]
+    full = Scalar.nonzero_terms
+    monkeypatch.setattr(Scalar, "nonzero_terms", lambda self: full(self)[:-1])
+    assert all(a * b != mul_by_schoolbook(a, b) for a, b in pairs)
 
 
 def test_conjugation_is_multiplicative():
