@@ -27,7 +27,7 @@ INF = float("inf")
 # Default vertex-count guard of `analyze` (its --max-vertices option).
 MAX_VERTICES = 16
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class GraphFormatError(ValueError):
@@ -53,7 +53,7 @@ class DefiningGraph:
         if len(index) != len(vertices):
             raise GraphFormatError("duplicate vertex name")
         for v in vertices:
-            if not _NAME_RE.match(v):
+            if not _NAME_RE.fullmatch(v):
                 raise GraphFormatError(f"invalid vertex name {v!r}")
         labels: dict[tuple[int, int], int] = {}
         for i, j, m in edges:
@@ -255,7 +255,7 @@ def parse_graph(text: str) -> DefiningGraph:
                     f"line {lineno}: expected 'vertices:' declaration first"
                 )
             vertices = tuple(line[len("vertices:"):].split())
-            if not all(_NAME_RE.match(v) for v in vertices):
+            if not all(_NAME_RE.fullmatch(v) for v in vertices):
                 raise GraphFormatError(f"line {lineno}: invalid vertex name")
             if len(set(vertices)) != len(vertices):
                 raise GraphFormatError(f"line {lineno}: duplicate vertex")

@@ -4,15 +4,15 @@ Elements are residues of rational polynomials modulo the 2N-th cyclotomic
 polynomial, stored as integer coefficient vectors over a common positive
 denominator.  This gives a decidable zero test (the reduced polynomial is
 zero) and therefore exact equality.  The sign of a real element is its
-value sum(c_j * cos(j*pi/N)), decided in this order: the zero test, the
-rational shortcut, the per-field cache of signs by numerator vector, then a
-ladder of fixed-point sums.  Each rung sums the numerators exactly, in
-integers, against a table of cos(j*pi/N) * 2^bits built in integer
-arithmetic with a proven radius, and keeps the sign of the sum once it
-clears the numerators' weight times that radius; the first rung reads a
-120-bit table, the later ones double the bits from 256.  Nonzero algebraic
-numbers are bounded away from zero, so the ladder terminates; the 4096-bit
-cap is a loud guard against bugs, not a domain error.
+value sum(c_j * cos(j*pi/N)), decided in this order: the scalar's own memo,
+the zero test, the rational shortcut, then a ladder of fixed-point sums.
+Each rung sums the numerators exactly, in integers, against a table of
+cos(j*pi/N) * 2^bits built in integer arithmetic with a proven radius, and
+keeps the sign of the sum once it clears the numerators' weight times that
+radius; the first rung reads a 120-bit table, the later ones double the
+bits from 256.  Nonzero algebraic numbers are bounded away from zero, so the
+ladder terminates; the 4096-bit cap is a loud guard against bugs, not a
+domain error.
 
 The modulus is the Moebius product prod_{d | 2N} (x^d - 1)^mu(2N/d),
 multiplied and divided one binomial at a time in linear passes.  For an n
@@ -36,7 +36,9 @@ numerator tuples.
 All values used by the reflection representation are real; realness is a
 flag propagated through arithmetic and checked against conjugation (the
 substitution x -> x^(2N-1)) only when a value is built from raw coefficients.
-Conjugation is the only user of the table of all 2N root powers.
+Conjugation sends each term c*x^j to -c*x^(N-j), as x^N = -1, and reduces
+once; the table of all 2N root powers (power_table) is left to the tests as
+the oracle of root powers and conjugation.
 
 Arithmetic with int or Scalar operands works on integer numerators and
 denominators alone; fractions is imported only where a Fraction is given or
@@ -170,7 +172,6 @@ def _divide_by_binomial(p: list[int], d: int) -> list[int]:
     return q
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (low to high) of the n-th cyclotomic polynomial.
 
@@ -211,13 +212,20 @@ class FieldContext:
     of binomials.  Reduction folds each coefficient at x^k with k >= N onto
     x^(k-N) with its sign flipped, then each one above the degree through the
     nonzero lower terms of the modulus only, which are few (6 to 32 for the
-    fields of degree 96 to 1152).  Root powers reduce a single monomial;
-    the table of all 2N root powers is built only for conjugation.
+    fields of degree 96 to 1152).  Root powers and conjugates reduce once
+    each.
+
+    The degree phi(2N) is checked against MAX_FIELD_DEGREE before anything is
+    built.  As phi(n) >= sqrt(n/2), phi(2N) >= sqrt(N): an N past
+    MAX_FIELD_DEGREE^2 fails without factoring, and below that, trial
+    division up to sqrt(2N) is cheap.
     """
 
     def __init__(self, N: int):
         if N < 1:
             raise ValueError("N must be positive")
+        if N > MAX_FIELD_DEGREE**2 or _totient(2 * N) > MAX_FIELD_DEGREE:
+            raise ValueError(f"field exceeds the {MAX_FIELD_DEGREE}-degree guard")
         self.N = N
         self.modulus = cyclotomic_polynomial(2 * N)
         self.degree = len(self.modulus) - 1
@@ -229,9 +237,6 @@ class FieldContext:
         self._cos_first: tuple[int, ...] | None = None
         self._cos_cache: dict[int, tuple[int, ...]] = {}
         self._cos_pi_cache: dict[int, Scalar] = {}
-        # sign is independent of the (positive) denominator, so it is shared
-        # across all scalars with the same numerator vector
-        self._sign_cache: dict[tuple[int, ...], int] = {}
         zero_nums = (0,) * d
         self.zero = Scalar(self, zero_nums, 1, real=True)
         one_nums = (1,) + (0,) * (d - 1)
@@ -291,7 +296,8 @@ class FieldContext:
         return tuple(work[:d])
 
     def power_table(self) -> tuple[tuple[int, ...], ...]:
-        # x^k mod modulus for k in [0, 2N); used by conjugation only.
+        # x^k mod modulus for k in [0, 2N); the tests' oracle for root_power
+        # and conj, which the program does not call.
         if self._power_table is None:
             d = self.degree
             terms = self._fold_terms
@@ -332,20 +338,13 @@ def _context_for(N: int) -> FieldContext:
 
 
 def field_context(labels: Iterable[int]) -> FieldContext:
-    """Context for the smallest field containing cos(pi/m) for every finite label.
-
-    Its degree phi(2N) is checked against MAX_FIELD_DEGREE before anything is
-    built.  As phi(n) >= sqrt(n/2), phi(2N) >= sqrt(N): an N past
-    MAX_FIELD_DEGREE^2 fails without factoring, and below that, trial
-    division up to sqrt(2N) is cheap.
-    """
+    """Context for the smallest field containing cos(pi/m) for every finite
+    label; FieldContext refuses a degree past MAX_FIELD_DEGREE."""
     N = 1
     for m in labels:
         if not (isinstance(m, int) and m >= 2):
             raise ValueError(f"label {m!r} must be an integer >= 2")
         N = N * m // math.gcd(N, m)
-    if N > MAX_FIELD_DEGREE**2 or _totient(2 * N) > MAX_FIELD_DEGREE:
-        raise ValueError(f"field exceeds the {MAX_FIELD_DEGREE}-degree guard")
     return _context_for(N)
 
 
@@ -441,17 +440,18 @@ class Scalar:
         return Fraction(self.nums[0], self.den)
 
     def conj(self) -> "Scalar":
-        """Image under the substitution x -> x^(2N-1), i.e. complex conjugation."""
-        table = self.ctx.power_table()
-        d = self.ctx.degree
-        out = [0] * d
-        twoN = 2 * self.ctx.N
-        for j, c in enumerate(self.nums):
-            if c:
-                row = table[(twoN - j) % twoN]
-                for t in range(d):
-                    out[t] += c * row[t]
-        return Scalar(self.ctx, *_normalize(out, self.den))
+        """Image under the substitution x -> x^(2N-1), i.e. complex conjugation.
+
+        A term c*x^j with 0 < j < N goes to c*x^(2N-j) = -c*x^(N-j), since
+        x^N = -1; every image lies below x^N, so one reduction finishes."""
+        ctx, N = self.ctx, self.ctx.N
+        out = [0] * N
+        for j, c in self.nonzero_terms():
+            if j:
+                out[N - j] = -c
+            else:
+                out[0] = c
+        return Scalar(ctx, *_normalize(ctx.reduce(out), self.den))
 
     @property
     def is_real(self) -> bool:
@@ -620,10 +620,10 @@ class Scalar:
     def sign(self) -> int:
         """Exact sign of a real element: -1, 0 or +1.
 
-        Decided by the zero test, the rational shortcut and the field's sign
-        cache, in that order, and then by the fixed-point ladder.  Each rung
-        takes the exact integer sum S = sum(c_j * t_j) against a table t of
-        cos(j*pi/N) * 2^bits, whose entries lie within 8 * bits * degree
+        Decided by the scalar's own memo, the zero test and the rational
+        shortcut, in that order, and then by the fixed-point ladder.  Each
+        rung takes the exact integer sum S = sum(c_j * t_j) against a table t
+        of cos(j*pi/N) * 2^bits, whose entries lie within 8 * bits * degree
         units of their values, and keeps the sign of S once |S| exceeds
         sum(|c_j|) times that radius.  The first rung reads cos_table (120
         bits); the later ones cos_enclosures, from 256 to 4096 bits.
@@ -636,10 +636,6 @@ class Scalar:
         if self.is_rational():
             self._sign = 1 if self.nums[0] > 0 else -1
             return self._sign
-        cached = self.ctx._sign_cache.get(self.nums)
-        if cached is not None:
-            self._sign = cached
-            return cached
         if not self.is_real:
             raise ValueError("sign is defined for real scalars only")
         ctx, nums = self.ctx, self.nums
@@ -648,9 +644,8 @@ class Scalar:
             table = ctx.cos_table() if bits == _SIGN_LADDER[0] else ctx.cos_enclosures(bits)
             total = sum(map(mul, nums, table))
             if abs(total) > radius_per_bit * bits:
-                sign = 1 if total > 0 else -1
-                self._sign = ctx._sign_cache[nums] = sign
-                return sign
+                self._sign = 1 if total > 0 else -1
+                return self._sign
         raise PrecisionExhaustedError(
             f"sign of nonzero scalar undecided at {_SIGN_LADDER[-1]} bits"
         )

@@ -13,7 +13,7 @@ from .graph import DefiningGraph
 
 MAX_LETTERS = 10**6
 
-_TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
+_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?")
 
 
 class WordSyntaxError(ValueError):
@@ -111,7 +111,7 @@ def parse_word(text: str, g: DefiningGraph) -> ArtinWord:
     graph's vertices; exponents expand into repeated single letters."""
     letters: list[tuple[str, int]] = []
     for token in text.split():
-        match = _TOKEN_RE.match(token)
+        match = _TOKEN_RE.fullmatch(token)
         if not match:
             raise WordSyntaxError(f"malformed token {token!r}")
         v, exp_text = match.group(1), match.group(2)

@@ -15,9 +15,10 @@ retraction by explicit conjugation of each letter's generator, cyclotomic
 polynomials by the product recursion with dense division, reduction by a
 dense fold through every lower coefficient of the modulus, field products
 by the schoolbook convolution over every coefficient of both operands, sums
-by Fraction coefficients, signs of real field elements by outward-rounded
-mpmath interval sums, and rank-2 Garside normal forms by fixed-point
-combing of a simple-factor list.
+by Fraction coefficients, conjugation through the table of all 2N root
+powers, signs of real field elements by outward-rounded mpmath interval
+sums, and rank-2 Garside normal forms by fixed-point combing of a
+simple-factor list.
 """
 
 from __future__ import annotations
@@ -378,6 +379,22 @@ def add_by_coefficients(a: Scalar, b: Scalar, sign: int = 1) -> Scalar:
     return scalar_from_fractions(
         a.ctx, [Fraction(x, a.den) + sign * Fraction(y, b.den) for x, y in zip(a.nums, b.nums)]
     )
+
+
+def conj_by_power_table(value: Scalar) -> Scalar:
+    """The image of x -> x^(2N-1): each coefficient of x^j times the reduced
+    row of x^(2N-j) in the table of all 2N root powers."""
+    ctx = value.ctx
+    table = ctx.power_table()
+    d = ctx.degree
+    out = [0] * d
+    twoN = 2 * ctx.N
+    for j, c in enumerate(value.nums):
+        if c:
+            row = table[(twoN - j) % twoN]
+            for t in range(d):
+                out[t] += c * row[t]
+    return scalar_from_fractions(ctx, [Fraction(c, value.den) for c in out])
 
 
 INTERVAL_LADDER = (64, 128, 256, 512, 1024, 2048, 4096)

@@ -95,6 +95,22 @@ def test_serialize_round_trip():
     assert once.splitlines()[0] == "vertices: c a b"
 
 
+def test_every_data_graph_round_trips_through_text(data_dir):
+    for path in sorted(data_dir.glob("*.graph")):
+        g = parse_graph(path.read_text())
+        assert parse_graph(g.to_text()) == g, path.name
+
+
+@pytest.mark.parametrize("name", ["a\n", "a\r", "\na", "a b", ""])
+def test_vertex_names_are_matched_whole(name):
+    # "$" alone would also match before a trailing newline, and to_text would
+    # then write a file that parse_graph rejects
+    with pytest.raises(GraphFormatError, match="invalid vertex name"):
+        DefiningGraph((name, "b"), ((0, 1, 3),))
+    with pytest.raises(GraphFormatError, match="invalid vertex name"):
+        make_graph([name, "b"], [(name, "b", 3)])
+
+
 def test_cone_points():
     path = make_graph(["a", "b", "c"], [("a", "b", 3), ("b", "c", 3)])
     assert path.cone_points() == ("b",)

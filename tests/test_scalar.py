@@ -17,6 +17,7 @@ from artincenter.scalar import (
 )
 from helpers import (
     add_by_coefficients,
+    conj_by_power_table,
     cyclotomic_by_division,
     mul_by_schoolbook,
     reduce_by_dense_fold,
@@ -96,6 +97,11 @@ def test_field_degree_guard():
     for labels in ([1000003], [127, 131, 137], [10**9], [2**200]):
         with pytest.raises(ValueError, match=f"{MAX_FIELD_DEGREE}-degree guard"):
             field_context(labels)
+    # the guard sits in FieldContext itself: 10^9 would otherwise start an
+    # 8 * 10^8-coefficient modulus, and phi(2 * 65537) = 65536
+    for N in (10**9, 65537):
+        with pytest.raises(ValueError, match=f"{MAX_FIELD_DEGREE}-degree guard"):
+            FieldContext(N)
 
 
 def test_cos_values():
@@ -269,6 +275,41 @@ def test_schoolbook_oracle_flags_a_product_missing_its_last_term(monkeypatch):
     full = Scalar.nonzero_terms
     monkeypatch.setattr(Scalar, "nonzero_terms", lambda self: full(self)[:-1])
     assert all(a * b != mul_by_schoolbook(a, b) for a, b in pairs)
+
+
+@pytest.mark.parametrize("N", SPARSE_ORDERS)
+def test_conjugation_matches_power_table(N):
+    # mirroring the terms below x^N and reducing once gives the canonical
+    # conjugate, and decides realness, as the table of all 2N root powers does
+    rng = random.Random(f"conj:{N}")
+    ctx = FieldContext(N)
+    values = _operands(rng, ctx)
+    values += [a + conj_by_power_table(a) for a in values if not a.is_rational()]
+    for a in values:
+        image = conj_by_power_table(a)
+        assert a.conj() == image, a
+        assert Scalar(ctx, a.nums, a.den).is_real == (image == a), a
+
+
+def test_conjugation_oracle_flags_a_conjugate_negating_its_constant_term(monkeypatch):
+    rng = random.Random(7)
+    ctx = FieldContext(45)
+    values = _operands(rng, ctx)
+    full = Scalar.conj
+
+    def mutant(self):  # maps c*x^0 to -c*x^0
+        return full(self) - Fraction(2 * self.nums[0], self.den)
+
+    monkeypatch.setattr(Scalar, "conj", mutant)
+    flagged = [a.conj() != conj_by_power_table(a) for a in values]
+    assert flagged == [bool(a.nums[0]) for a in values] and any(flagged)
+
+
+def test_realness_of_a_root_builds_no_power_table():
+    # degree 10200: the table of all 2N root powers would hold 2 * 10^8 entries
+    ctx = FieldContext(101 * 103)
+    assert not ctx.root_power(1).is_real
+    assert ctx._power_table is None
 
 
 def test_conjugation_is_multiplicative():
