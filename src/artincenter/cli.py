@@ -8,15 +8,16 @@ center is certified, 2 when any factor is inconclusive, 1 on input errors.
 
 Each command imports the layer it works in when it runs: analyze, split and
 dihedral never load the field arithmetic, and only analyze loads the
-analyzer.
+analyzer.  A well-formed command line is parsed without argparse, which is
+loaded only for help, --version and usage errors; json is loaded only to
+write JSON.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .graph import INF, MAX_VERTICES, DefiningGraph, parse_graph
@@ -53,6 +54,8 @@ def _envelope(command: str, input_info: dict, result: dict) -> dict:
 def _emit(args, command: str, info: dict, result: dict, render) -> None:
     """Print the envelope under --json, otherwise the text render(result)."""
     if args.json:
+        import json
+
         print(json.dumps(_envelope(command, info, result), indent=2, sort_keys=True))
     else:
         print(render(result))
@@ -109,7 +112,8 @@ def _render_analysis(report: dict, indent: str = "") -> str:
 
 def cmd_analyze(args) -> int:
     if args.dir:
-        # only a directory run lists files and writes reports
+        # only a directory run lists files and writes reports, in JSON
+        import json
         import tempfile
         from pathlib import Path
 
@@ -342,66 +346,125 @@ def _split_subset(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Each subcommand's help line and arguments, in the order argparse lists them:
+# the name, then add_argument's keywords.  A name starting with "--" is an
+# option; every subcommand also takes _JSON.  _build_parser and _match both
+# read this table.
+_COMMANDS = {
+    "analyze": ("certify the center of a graph's Artin group", (
+        ("graph", {"nargs": "?", "help": "graph file"}),
+        ("--dir", {"help": "analyze every .graph file in a directory"}),
+        ("--max-vertices", {"type": int, "default": MAX_VERTICES,
+                            "help": f"vertex-count guard (default {MAX_VERTICES})"}),
+    )),
+    "retract": ("retract a word onto a vertex subset", (
+        ("graph", {}),
+        ("subset", {"help": "comma-separated vertex names"}),
+        ("word", {}),
+        ("--trace", {"action": "store_true", "help": "show the per-letter audit"}),
+    )),
+    "reduce": ("canonical reduced word of the Coxeter image", (
+        ("graph", {}),
+        ("word", {}),
+    )),
+    "coset": ("split the Coxeter image across a standard subgroup", (
+        ("graph", {}),
+        ("subset", {"help": "comma-separated vertex names"}),
+        ("word", {}),
+    )),
+    "split": ("amalgam decomposition over a non-adjacent pair", (
+        ("graph", {}),
+        ("x", {}),
+        ("y", {}),
+    )),
+    "word": ("positivity, support, abelianization, purity", (
+        ("graph", {}),
+        ("word", {}),
+    )),
+    "dihedral": ("rank-2 normal form or equality", (
+        ("graph", {"help": "graph file with exactly two vertices"}),
+        ("word", {}),
+        ("word2", {"nargs": "?", "help": "second word for an equality test"}),
+    )),
+}
+_JSON = ("--json", {"action": "store_true", "help": "emit a JSON envelope"})
+
+
+def _build_parser():
+    """The full argparse parser, for help, --version and every argv _match refuses."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="artincenter",
         description="Exact Artin/Coxeter computations and center certification.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="certify the center of a graph's Artin group")
-    p.add_argument("graph", nargs="?", help="graph file")
-    p.add_argument("--dir", help="analyze every .graph file in a directory")
-    guard = f"vertex-count guard (default {MAX_VERTICES})"
-    p.add_argument("--max-vertices", type=int, default=MAX_VERTICES, help=guard)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("retract", help="retract a word onto a vertex subset")
-    p.add_argument("graph")
-    p.add_argument("subset", help="comma-separated vertex names")
-    p.add_argument("word")
-    p.add_argument("--trace", action="store_true", help="show the per-letter audit")
-    p.set_defaults(func=cmd_retract)
-
-    p = sub.add_parser("reduce", help="canonical reduced word of the Coxeter image")
-    p.add_argument("graph")
-    p.add_argument("word")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("coset", help="split the Coxeter image across a standard subgroup")
-    p.add_argument("graph")
-    p.add_argument("subset", help="comma-separated vertex names")
-    p.add_argument("word")
-    p.set_defaults(func=cmd_coset)
-
-    p = sub.add_parser("split", help="amalgam decomposition over a non-adjacent pair")
-    p.add_argument("graph")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("word", help="positivity, support, abelianization, purity")
-    p.add_argument("graph")
-    p.add_argument("word")
-    p.set_defaults(func=cmd_word)
-
-    p = sub.add_parser("dihedral", help="rank-2 normal form or equality")
-    p.add_argument("graph", help="graph file with exactly two vertices")
-    p.add_argument("word")
-    p.add_argument("word2", nargs="?", help="second word for an equality test")
-    p.set_defaults(func=cmd_dihedral)
-
-    for p in sub.choices.values():
-        p.add_argument("--json", action="store_true", help="emit a JSON envelope")
+    for command, (help_line, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for name, keywords in arguments + (_JSON,):
+            p.add_argument(name, **keywords)
+        p.set_defaults(func=globals()[f"cmd_{command}"])
     return parser
 
 
+def _match(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a well-formed argv: the command, its
+    positionals, then its options, each spelled in full and given once.
+    None for anything else (help, --version, abbreviations, --opt=value, an
+    option before a positional, a usage error), which is left to argparse,
+    its messages and its differences between Python versions."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, rest = argv[0], argv[1:]
+    values = {"command": command, "func": globals()[f"cmd_{command}"]}
+    required, optional, options = [], [], {}
+    for name, keywords in _COMMANDS[command][1] + (_JSON,):
+        dest = name.lstrip("-").replace("-", "_")
+        if name.startswith("-"):
+            options[name] = (dest, keywords)
+            values[dest] = False if keywords.get("action") == "store_true" else keywords.get("default")
+        else:
+            (optional if keywords.get("nargs") == "?" else required).append(dest)
+            values[dest] = None
+    given = next((i for i, arg in enumerate(rest) if arg.startswith("-")), len(rest))
+    if not len(required) <= given <= len(required) + len(optional):
+        return None
+    values.update(zip(required + optional, rest[:given]))
+    it = iter(rest[given:])
+    for arg in it:
+        if arg not in options:  # unknown, abbreviated, --opt=value or repeated
+            return None
+        dest, keywords = options.pop(arg)
+        if keywords.get("action") == "store_true":
+            values[dest] = True
+            continue
+        value = next(it, None)
+        if value is None or value.startswith("-"):
+            return None
+        if keywords.get("type") is int:
+            # argparse's int() also takes signs, underscores and non-ASCII digits
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # past the interpreter's limit on digits
+                return None
+        values[dest] = value
+    if command == "analyze" and not values["dir"] and not values["graph"]:
+        return None
+    return SimpleNamespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "analyze" and not args.dir and not args.graph:
-        parser.error("analyze needs a graph file or --dir")
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _match(argv)
+    if args is None:
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        if args.command == "analyze" and not args.dir and not args.graph:
+            parser.error("analyze needs a graph file or --dir")
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

@@ -17,18 +17,21 @@ dense fold through every lower coefficient of the modulus, field products
 by the schoolbook convolution over every coefficient of both operands, sums
 by Fraction coefficients, conjugation through the table of all 2N root
 powers, signs of real field elements by outward-rounded mpmath interval
-sums, and rank-2 Garside normal forms by fixed-point combing of a
-simple-factor list.
+sums, rank-2 Garside normal forms by fixed-point combing of a
+simple-factor list, and the command line by the hand-written argparse parser.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
+from artincenter import __version__, cli
 from artincenter.coxeter import (
     CoxeterElement,
     _det,
@@ -45,7 +48,7 @@ from artincenter.coxeter import (
 )
 from artincenter.dihedral import dihedral_equal
 from artincenter.retraction import retract, retract_trace
-from artincenter.graph import INF, DefiningGraph, is_spherical, make_graph
+from artincenter.graph import INF, MAX_VERTICES, DefiningGraph, is_spherical, make_graph
 from artincenter.scalar import FieldContext, Scalar, cos_pi_over
 from artincenter.words import ArtinWord, abelianize
 
@@ -867,3 +870,73 @@ def random_cone_free_graph(rng: random.Random, n: int) -> DefiningGraph:
     g = make_graph(verts, edges)
     assert g.cone_points() == ()
     return g
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The CLI's parser as written out by hand before its arguments became a
+    table: the oracle for cli._build_parser and cli._match."""
+    parser = argparse.ArgumentParser(
+        prog="artincenter",
+        description="Exact Artin/Coxeter computations and center certification.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("analyze", help="certify the center of a graph's Artin group")
+    p.add_argument("graph", nargs="?", help="graph file")
+    p.add_argument("--dir", help="analyze every .graph file in a directory")
+    guard = f"vertex-count guard (default {MAX_VERTICES})"
+    p.add_argument("--max-vertices", type=int, default=MAX_VERTICES, help=guard)
+    p.set_defaults(func=cli.cmd_analyze)
+
+    p = sub.add_parser("retract", help="retract a word onto a vertex subset")
+    p.add_argument("graph")
+    p.add_argument("subset", help="comma-separated vertex names")
+    p.add_argument("word")
+    p.add_argument("--trace", action="store_true", help="show the per-letter audit")
+    p.set_defaults(func=cli.cmd_retract)
+
+    p = sub.add_parser("reduce", help="canonical reduced word of the Coxeter image")
+    p.add_argument("graph")
+    p.add_argument("word")
+    p.set_defaults(func=cli.cmd_reduce)
+
+    p = sub.add_parser("coset", help="split the Coxeter image across a standard subgroup")
+    p.add_argument("graph")
+    p.add_argument("subset", help="comma-separated vertex names")
+    p.add_argument("word")
+    p.set_defaults(func=cli.cmd_coset)
+
+    p = sub.add_parser("split", help="amalgam decomposition over a non-adjacent pair")
+    p.add_argument("graph")
+    p.add_argument("x")
+    p.add_argument("y")
+    p.set_defaults(func=cli.cmd_split)
+
+    p = sub.add_parser("word", help="positivity, support, abelianization, purity")
+    p.add_argument("graph")
+    p.add_argument("word")
+    p.set_defaults(func=cli.cmd_word)
+
+    p = sub.add_parser("dihedral", help="rank-2 normal form or equality")
+    p.add_argument("graph", help="graph file with exactly two vertices")
+    p.add_argument("word")
+    p.add_argument("word2", nargs="?", help="second word for an equality test")
+    p.set_defaults(func=cli.cmd_dihedral)
+
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="emit a JSON envelope")
+    return parser
+
+
+def reference_main(argv: list[str]) -> int:
+    """cli.main with every argv parsed by reference_parser."""
+    parser = reference_parser()
+    args = parser.parse_args(argv)
+    if args.command == "analyze" and not args.dir and not args.graph:
+        parser.error("analyze needs a graph file or --dir")
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_ERROR

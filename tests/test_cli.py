@@ -7,6 +7,7 @@ import sys
 
 import jsonschema
 import pytest
+from helpers import reference_main, reference_parser
 
 from artincenter import cli, retraction
 from artincenter.analyzer import AnalysisReport
@@ -340,6 +341,139 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
+# Argvs that cli._match parses itself: every command, and one of each kind
+# of benchmark request.  A name ending in .graph is a file in tests/data, and
+# DIR is a directory holding three of them.
+MATCHED = [
+    ["analyze", "edge3.graph"],
+    ["analyze", "single_vertex.graph", "--json"],
+    ["analyze", "unknown_clique.graph", "--max-vertices", "3", "--json"],
+    ["analyze", "edge3.graph", "--max-vertices", "007"],
+    ["analyze", "--dir", "DIR", "--json"],
+    ["analyze", "--dir", "DIR"],
+    ["analyze", "edge3.graph", "--json", "--dir", "DIR", "--max-vertices", "16"],
+    ["analyze", "missing.graph"],
+    ["retract", "handtrace.graph", "s,t", "r s r^-1", "--json"],
+    ["retract", "handtrace.graph", "s,t", "r s r^-1", "--json", "--trace"],
+    ["retract", "handtrace.graph", "s,t", "r s r^-1", "--trace"],
+    ["reduce", "highdeg96.graph", "x0 x2 x3", "--json"],
+    ["reduce", "edge3.graph", ""],
+    ["reduce", "edge3.graph", "s q"],
+    ["coset", "edge3.graph", "s", "s t", "--json"],
+    ["split", "path33.graph", "a", "c"],
+    ["word", "handtrace.graph", "r s r^-1 s^-1", "--json"],
+    ["dihedral", "edge3.graph", "s t s t", "--json"],
+    ["dihedral", "edge3.graph", "s t s", "t s t", "--json"],
+    ["dihedral", "edgeinf.graph", "s t t^-1 s"],
+]
+
+# Argvs that cli._match refuses and argparse parses, or rejects with exit 2.
+REFUSED = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--version"],
+    ["-"],
+    ["--"],
+    ["nosuch", "edge3.graph"],
+    ["--json", "reduce", "edge3.graph", "s"],
+    ["reduce", "-h"],
+    ["analyze", "--help"],
+    ["dihedral", "edge3.graph", "s", "--help"],
+    ["reduce", "edge3.graph", "--", "s t"],
+    ["reduce", "edge3.graph", "-"],
+    ["reduce", "edge3.graph", "-s t"],
+    ["reduce", "edge3.graph", "-1"],
+    ["reduce", "edge3.graph", "s", "--js"],
+    ["analyze", "edge3.graph", "--max-v", "3"],
+    ["analyze", "edge3.graph", "--max-vertices=3"],
+    ["analyze", "--dir=DIR"],
+    ["reduce", "edge3.graph", "s", "--json", "--json"],
+    ["analyze", "edge3.graph", "--max-vertices", "3", "--max-vertices", "4"],
+    ["analyze", "--json", "edge3.graph"],
+    ["analyze", "--dir", "DIR", "edge3.graph"],
+    ["retract", "handtrace.graph", "s,t", "--trace", "r s"],
+    # argparse's handling of this differs between Python releases (3.10.13 to
+    # 3.13.0 exit 2)
+    ["dihedral", "edge3.graph", "s t s", "--json", "t s t"],
+    ["analyze", "edge3.graph", "--max-vertices", "+5"],
+    ["analyze", "edge3.graph", "--max-vertices", "1_0"],
+    ["analyze", "edge3.graph", "--max-vertices", "\u0665"],
+    ["analyze", "edge3.graph", "--max-vertices", "-5"],
+    ["analyze", "edge3.graph", "--max-vertices", "x"],
+    ["analyze", "edge3.graph", "--max-vertices", ""],
+    ["analyze", "edge3.graph", "--max-vertices"],
+    ["analyze", "edge3.graph", "--max-vertices", "9" * 5000],
+    ["analyze"],
+    ["analyze", "--json"],
+    ["analyze", ""],
+    ["analyze", "--dir", ""],
+    ["analyze", "--dir"],
+    ["analyze", "edge3.graph", "--dir", "--json"],
+    ["analyze", "edge3.graph", "edge3.graph"],
+    ["reduce", "edge3.graph"],
+    ["reduce", "edge3.graph", "s", "t"],
+    ["reduce", "edge3.graph", "s", "--trace"],
+    ["reduce", "edge3.graph", "s", "--bogus"],
+    ["reduce", "edge3.graph", "s", "-x"],
+    ["dihedral", "edge3.graph"],
+    ["dihedral", "edge3.graph", "s", "t", "s"],
+]
+
+
+def _corpus_argv(argv, directory):
+    return [str(directory) if a == "DIR" else str(DATA / a) if a.endswith(".graph") else a
+            for a in argv]
+
+
+def _outcome(capsys, run, argv, directory):
+    """Exit code, stdout, stderr and the reports written by one run."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    reports = {}
+    for path in sorted(directory.glob("*.report.json")):
+        reports[path.name] = path.read_bytes()
+        path.unlink()
+    return code, out, err, reports
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if a.dest == "command"]
+    return action.choices
+
+
+@pytest.mark.parametrize(
+    "argv, matched",
+    [(argv, True) for argv in MATCHED] + [(argv, False) for argv in REFUSED],
+    ids=[" ".join(argv)[:60] for argv in MATCHED + REFUSED],
+)
+def test_cli_parses_like_the_reference_parser(capsys, tmp_path, argv, matched):
+    # same exit code, output and reports as the hand-written parser, and the
+    # same namespace wherever the matcher parses the argv itself
+    for name in ("edge3", "single_vertex", "unknown_clique"):
+        (tmp_path / f"{name}.graph").write_text((DATA / f"{name}.graph").read_text())
+    argv = _corpus_argv(argv, tmp_path)
+    assert _outcome(capsys, main, argv, tmp_path) == _outcome(capsys, reference_main, argv, tmp_path)
+    if matched:
+        assert vars(cli._match(argv)) == vars(reference_parser().parse_args(argv))
+    else:
+        assert cli._match(argv) is None
+
+
+def test_parser_help_is_the_reference_help():
+    built, reference = cli._build_parser(), reference_parser()
+    assert built.format_help() == reference.format_help()
+    assert built.format_usage() == reference.format_usage()
+    subs, reference_subs = _subparsers(built), _subparsers(reference)
+    assert list(subs) == list(reference_subs) == list(cli._COMMANDS)
+    for name, sub in subs.items():
+        assert sub.format_help() == reference_subs[name].format_help(), name
+        assert sub.format_usage() == reference_subs[name].format_usage(), name
+
+
 HUGE_LABEL_GRAPH = "vertices: s t\nedge s t 1000000000\n"
 
 
@@ -424,16 +558,19 @@ def test_label_past_the_halved_field_guard_is_an_input_error(capsys, tmp_path):
 FIELD_MODULES = ("artincenter.scalar", "artincenter.coxeter", "artincenter.retraction")
 
 
-def _fresh_run(argv, report, setup="", flags=()):
+def _fresh_run(argv, report, setup="", flags=(), code=0):
     """Run the CLI in a fresh interpreter, started with the flags, after the
-    setup lines; return its stdout and the repr of the report expression
-    evaluated afterwards."""
+    setup lines; check its exit code and return its stdout and the repr of the
+    report expression evaluated afterwards."""
     script = (
         "import sys\n"
         f"{setup}"
         "from artincenter.cli import main\n"
-        f"code = main({[str(a) for a in argv]!r})\n"
-        "assert code == 0, code\n"
+        "try:\n"
+        f"    code = main({[str(a) for a in argv]!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        f"assert code == {code!r}, code\n"
         f"print({report})\n"
     )
     src = str(pathlib.Path(__file__).parent.parent / "src")
@@ -531,6 +668,49 @@ def test_analyze_dir_loads_tempfile_and_pathlib(tmp_path):
     )
     assert loaded == repr(list(modules))
     assert "edge3.graph: established, center rank 1" in out
+
+
+# argparse brings gettext and locale (about 3.4 ms), and json brings its
+# decoder and encoder: a well-formed argv needs neither, and only JSON output
+# needs json
+PARSER_MODULES = ("argparse", "gettext", "locale")
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["analyze", "edge3.graph"], []),
+        (["analyze", "--dir", "DIR"], ["json"]),
+        (["reduce", "edge3.graph", "t s t"], []),
+        (["reduce", "edge3.graph", "t s t", "--json"], ["json"]),
+        (["coset", "edge3.graph", "s", "s t", "--json"], ["json"]),
+        (["retract", "edge3.graph", "s", "t s t^-1 s", "--trace"], []),
+        (["dihedral", "edge3.graph", "s t s", "t s t", "--json"], ["json"]),
+    ],
+    ids=["analyze", "analyze-dir", "reduce-text", "reduce-json", "coset", "retract-trace",
+         "dihedral-eq"],
+)
+def test_well_formed_argv_does_not_load_argparse(argv, loaded, tmp_path):
+    # -S keeps site, which may load some of these itself, out of start-up
+    (tmp_path / "edge3.graph").write_text((DATA / "edge3.graph").read_text())
+    modules = PARSER_MODULES + ("json",)
+    _out, reported = _fresh_run(
+        _corpus_argv(argv, tmp_path), f"[m for m in {modules!r} if m in sys.modules]", flags=("-S",)
+    )
+    assert reported == repr(loaded)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["reduce", "-h"], 0), (["reduce", DATA / "edge3.graph"], 2)],
+    ids=["help", "usage-error"],
+)
+def test_help_and_usage_errors_load_argparse(argv, code):
+    # the control for the test above
+    _out, reported = _fresh_run(
+        argv, f"[m for m in {PARSER_MODULES!r} if m in sys.modules]", flags=("-S",), code=code
+    )
+    assert reported == repr(list(PARSER_MODULES))
 
 
 def test_non_crystallographic_graphs_load_field_arithmetic():
