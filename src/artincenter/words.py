@@ -120,8 +120,10 @@ def parse_word(text: str, g: DefiningGraph) -> ArtinWord:
         exp = 1
         if exp_text is not None:
             # An exponent with more significant digits than the guard exceeds
-            # it; checked before int(), which refuses over 4300 digits.
-            magnitude = exp_text.lstrip("-").lstrip("0") or "0"
+            # it; checked before int(), which refuses over 4300 digits.  \d
+            # matches every Unicode decimal digit, so any zero may lead.
+            digits = exp_text.lstrip("-")
+            magnitude = digits[next((i for i, c in enumerate(digits) if int(c)), len(digits)):] or "0"
             if len(magnitude) > len(str(MAX_LETTERS)):
                 raise WordSyntaxError(f"word exceeds the {MAX_LETTERS}-letter guard")
             exp = -int(magnitude) if exp_text.startswith("-") else int(magnitude)

@@ -15,9 +15,10 @@ from artincenter.analyzer import (
     spherical_center_generator,
 )
 from artincenter.cli import _render_analysis
-from artincenter.coxeter import field_of, is_affine, is_spherical
+from artincenter.coxeter import is_affine, is_spherical
 from artincenter.dihedral import dihedral_center_generator, dihedral_equal
 from artincenter.graph import INF, make_graph
+from artincenter.scalar import _context_for
 
 from helpers import (
     all_graphs,
@@ -280,9 +281,9 @@ def test_establish_builds_no_cyclotomic_field():
     corpus += [random_single_cone_graph(rng, rng.randrange(3, 7)) for _ in range(10)]
     corpus += [random_cone_free_graph(rng, rng.randrange(2, 7)) for _ in range(10)]
     corpus += [make_graph("abc", [("a", "b", 101), ("b", "c", 103), ("a", "c", 2)]), UNKNOWN_CLIQUE]
-    field_of.cache_clear()
+    _context_for.cache_clear()
     kinds = set()
     for g in corpus:
         kinds.update(f.reason or f.kind for f in establish(g).factors)
-    assert field_of.cache_info().currsize == 0
+    assert _context_for.cache_info().currsize == 0
     assert {SPHERICAL, "TWO_DIMENSIONAL", "EUCLIDEAN", "FC_TYPE", UNKNOWN} <= kinds

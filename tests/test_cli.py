@@ -12,6 +12,7 @@ from helpers import reference_main, reference_parser
 from artincenter import cli, retraction
 from artincenter.analyzer import AnalysisReport
 from artincenter.cli import main
+from artincenter.coxeter import MAX_KERNEL_VERTICES
 from artincenter.graph import parse_graph
 from artincenter.retraction import RetractionTrace
 from artincenter.scalar import MAX_FIELD_DEGREE, FieldContext
@@ -76,7 +77,7 @@ def test_analyze_max_vertices_flag(capsys, tmp_path):
     big.write_text("vertices: a b c d e\n")
     code, _, err = run(capsys, "analyze", big, "--max-vertices", "4")
     assert code == 1 and "guard" in err
-    # the flag is the only vertex guard: the 17-vertex affine cycle A~16
+    # the flag is analyze's only vertex guard: the 17-vertex affine cycle A~16
     # (labels 3 around the cycle, explicit 2 elsewhere) passes with 20
     names = [f"c{i}" for i in range(17)]
     lines = ["vertices: " + " ".join(names)]
@@ -534,6 +535,31 @@ def test_word_commands_past_the_field_guard_are_input_errors(capsys, tmp_path):
                 assert code == 1
                 assert out == ""
                 assert err == f"error: field exceeds the {MAX_FIELD_DEGREE}-degree guard\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", "v0 v1 v0"),
+        ("coset", "v0", "v0 v1 v0"),
+        ("word", "v0 v1 v0"),
+        ("retract", "v0", "v0 v1 v0"),
+        ("retract", "v0", "v0 v1 v0", "--trace"),
+    ],
+    ids=["reduce", "coset", "word", "retract", "retract-trace"],
+)
+def test_kernel_commands_refuse_graphs_past_the_vertex_guard(capsys, tmp_path, argv):
+    # a path with labels 3: its matrices would hold n^2 ints
+    n = MAX_KERNEL_VERTICES
+    for count, expected in ((n, 0), (n + 1, 1)):
+        names = [f"v{i}" for i in range(count)]
+        graph = tmp_path / f"path{count}.graph"
+        edges = "".join(f"edge {u} {v} 3\n" for u, v in zip(names, names[1:]))
+        graph.write_text(f"vertices: {' '.join(names)}\n{edges}")
+        code, out, err = run(capsys, argv[0], graph, *argv[1:])
+        assert code == expected
+        if expected:
+            assert (out, err) == ("", f"error: graph has {count} vertices; kernel guard is {n}\n")
 
 
 def test_even_label_field_is_half_the_gram_field(capsys, tmp_path):

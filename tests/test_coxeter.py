@@ -14,6 +14,7 @@ from artincenter.coxeter import (
     coset_decompose,
     coxeter_number,
     field_of,
+    gram_field,
     gram_matrix,
     identity,
     is_affine,
@@ -433,6 +434,21 @@ def test_cartan_ring_is_int_or_the_smallest_cyclotomic_field():
         g = make_graph("abcde", [(u, v, m) for (u, v), m in zip(combinations("abcde", 2), labels) if m != INF])
         assert field_of(g) is int
         assert {type(x) for row in theta(g, [(v, 1) for v in "abcdeedcba"]).mat for x in row} == {int}
+
+
+def test_one_field_context_per_n():
+    # field_of keeps no cache of its own; scalar's one context per N keeps
+    # the kernel's scalars on Scalar's `ctx is` fast path
+    by_n = {
+        5: [make_graph("ab", [("a", "b", 5)]), make_graph("abc", [("a", "b", 10), ("b", "c", 3)])],
+        35: [make_graph("abc", [("a", "b", 5), ("b", "c", 7)]), make_graph("ab", [("a", "b", 35)])],
+    }
+    for n, graphs in by_n.items():
+        contexts = [field_of(g) for g in graphs] + [field_of(graphs[0])]
+        assert all(ctx is contexts[0] for ctx in contexts) and contexts[0].N == n
+        # odd non-crystallographic labels alone: the Gram form's N is the same
+        assert gram_field(graphs[0]) is contexts[0]
+        assert _neighbours(graphs[0])[0][0][1].ctx is contexts[0]
 
 
 def _check_generator_updates(w, reflections):

@@ -50,6 +50,18 @@ def test_leading_zeros_do_not_count_toward_the_exponent_guard():
         parse_word("s^" + "0" * 5000, G)
 
 
+def test_any_decimal_zero_leads_an_exponent():
+    # \d takes every Unicode decimal digit; U+0660-U+0669 are Arabic-Indic 0-9
+    assert parse_word("s^\u0660\u0660\u0660\u0660\u0660\u0660\u0660\u0661", G).letters == (("s", 1),)
+    with pytest.raises(WordSyntaxError, match="zero exponent"):
+        parse_word("s^" + "\u0660" * 8, G)
+    for zero, one in (("0", "1"), ("\u0660", "\u0661")):
+        at_guard = f"{zero * 5000}{one}{zero * 6}"
+        assert len(parse_word(f"s^{at_guard}", G)) == words.MAX_LETTERS
+        with pytest.raises(WordSyntaxError, match="1000000-letter guard"):
+            parse_word(f"s^{at_guard} t", G)
+
+
 def test_length_guard_counts_exponents_before_expanding(monkeypatch):
     monkeypatch.setattr(words, "MAX_LETTERS", 10)
     assert len(parse_word("s^4 t^-6", G)) == 10
