@@ -121,6 +121,9 @@ def cmd_analyze(args) -> int:
         if not paths:
             print(f"no .graph files in {args.dir}", file=sys.stderr)
             return EXIT_ERROR
+        # mkstemp makes files 0600; reports get what open(path, "w") gives
+        umask = os.umask(0)
+        os.umask(umask)
         worst = EXIT_OK
         saw_error = False
         summary = []
@@ -128,12 +131,18 @@ def cmd_analyze(args) -> int:
             try:
                 info, result, code = _analyze_one(path, args.max_vertices)
                 out = Path(path).with_suffix(".report.json")
+                text = json.dumps(_envelope("analyze", info, result), indent=2, sort_keys=True)
                 fd, tmp = tempfile.mkstemp(dir=str(out.parent), suffix=".tmp")
-                envelope = _envelope("analyze", info, result)
-                with os.fdopen(fd, "w") as fh:
-                    # one call: json.dump calls write once per token
-                    fh.write(json.dumps(envelope, indent=2, sort_keys=True))
-                os.replace(tmp, out)
+                try:
+                    with os.fdopen(fd, "w") as fh:
+                        fh.write(text)  # one call: json.dump calls write once per token
+                    os.chmod(tmp, 0o666 & ~umask)
+                    os.replace(tmp, out)
+                except OSError as exc:
+                    raise OSError(f"cannot write {out}: {exc.strerror or exc}") from None
+                finally:
+                    if os.path.lexists(tmp):
+                        os.unlink(tmp)
             except Exception as exc:  # one bad file must not stop the batch
                 saw_error = True
                 print(f"{path}: error: {exc}", file=sys.stderr)

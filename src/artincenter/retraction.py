@@ -14,9 +14,10 @@ in X, and w is then unchanged; otherwise the letter vanishes and w becomes
 w * s, one generator update.  Plain retraction needs no coset split, no
 sign and no inverse matrix.
 
-The trace adds the audit, built only when a trace is asked for: the coset
-split of each w * s, the subgroup part of each prefix image, and the
-reflection w s w^-1 that the letter is tested against.
+The trace, built only when asked for, reads each letter off the coset split
+of w * s instead, whose subgroup part is s_x or the identity by the same
+lemma, and records the subgroup part of each prefix image and the reflection
+w s w^-1, so it checks the column test rather than repeating it.
 """
 
 from __future__ import annotations
@@ -99,21 +100,19 @@ def retract_trace(
 ) -> RetractionTrace:
     """Full per-letter audit whose emitted letters concatenate to the retraction."""
     x_set = g.subset(subset)
-    letters = [(g.index(v), v, e) for v, e in word.letters]
-    targets = {g.index(x): x for x in x_set}
     steps = []
     w_part = v_part = identity(g)
-    for pos, (s, vertex, exponent) in enumerate(letters):
-        x = _survivor(w_part.mat, s, targets)
+    for pos, (vertex, exponent) in enumerate(word.letters):
         ws = w_part.times_generator(vertex)
         dec = coset_decompose(ws, x_set)
         reflection = _conjugated_reflection(w_part, ws)
-        if x is None:
-            w_part = dec.reduced_part
+        emitted = dec.subgroup_part.reduced_word()  # () or (x,), by Deodhar
+        if emitted:
+            # w * s = s_x * w, so the split's reduced part is w itself;
+            # keeping w's object keeps its cached reduced word
+            v_part = v_part.times_generator(emitted[0])
         else:
-            # Deodhar: w * s = s_x * w, so the split's reduced part is w
-            # itself; keeping w's object keeps its cached reduced word
-            v_part = v_part.times_generator(x)
+            w_part = dec.reduced_part
         steps.append(
             RetractionStep(
                 position=pos,
@@ -122,7 +121,7 @@ def retract_trace(
                 subgroup_part=v_part,
                 reduced_part=w_part,
                 reflection=reflection,
-                emitted=None if x is None else (x, exponent),
+                emitted=(emitted[0], exponent) if emitted else None,
             )
         )
     output = ArtinWord(tuple(s.emitted for s in steps if s.emitted is not None))

@@ -43,8 +43,8 @@ the oracle of root powers and conjugation.
 Arithmetic with int or Scalar operands works on integer numerators and
 denominators alone; fractions is imported only where a Fraction is given or
 returned (from_rational given a non-int, from_coeffs, as_fraction, inverse,
-division and Fraction operands), since loading it adds 3 ms or more to a
-process's start-up.
+division, Fraction operands and the hash of a non-integer rational), since
+loading it adds 3 ms or more to a process's start-up.
 """
 
 from __future__ import annotations
@@ -253,7 +253,7 @@ class FieldContext:
 
             q = Fraction(q)
         nums = (q.numerator,) + (0,) * (self.degree - 1)
-        return Scalar(self, *_normalize(nums, q.denominator), real=True)
+        return Scalar(self, nums, q.denominator, real=True)
 
     def from_coeffs(self, coeffs: Sequence[int | Fraction]) -> "Scalar":
         """Scalar from rational coefficients of powers of the root, any length."""
@@ -263,8 +263,7 @@ class FieldContext:
         for c in coeffs:
             den = den * Fraction(c).denominator // math.gcd(den, Fraction(c).denominator)
         nums = [int(Fraction(c) * den) for c in coeffs]
-        reduced = self.reduce(nums)
-        return Scalar(self, *_normalize(reduced, den))
+        return Scalar(self, self.reduce(nums), den)
 
     def root_power(self, k: int) -> "Scalar":
         """The exact value of the generator raised to the k-th power (any integer k)."""
@@ -369,7 +368,7 @@ def cos_pi_over(m: int | float, ctx: FieldContext) -> "Scalar":
     if cached is None:
         k = ctx.N // m
         val = ctx.root_power(k) + ctx.root_power(2 * ctx.N - k)
-        cached = Scalar(ctx, *_normalize(val.nums, 2 * val.den), real=True)
+        cached = Scalar(ctx, val.nums, 2 * val.den, real=True)
         ctx._cos_pi_cache[m] = cached
     return cached
 
@@ -384,17 +383,16 @@ def _rational_operand(q) -> bool:
 
 
 def _normalize(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
-    # every caller passes a positive denominator
-    if den != 1:
-        g = den
-        for c in nums:
-            if c:
-                g = math.gcd(g, c)
-                if g == 1:
-                    break
-        if g > 1:
-            nums = [c // g for c in nums]
-            den //= g
+    # divide out the gcd of a positive denominator and the numerators
+    g = den
+    for c in nums:
+        if c:
+            g = math.gcd(g, c)
+            if g == 1:
+                break
+    if g > 1:
+        nums = [c // g for c in nums]
+        den //= g
     return tuple(nums), den
 
 
@@ -402,13 +400,17 @@ class Scalar:
     """Immutable field element: integer coefficients over a positive denominator.
 
     The coefficient tuple always has length equal to the context degree and is
-    reduced modulo the modulus; together with the gcd-normalized denominator
-    this representation is canonical, so equality and hashing are structural.
+    reduced modulo the modulus, and the constructor divides out the gcd of the
+    denominator and the numerators; so the representation is canonical and
+    equality is structural.  A rational scalar hashes as its value, which it
+    equals as an int or Fraction.
     """
 
     __slots__ = ("ctx", "nums", "den", "_real", "_sign", "_terms")
 
     def __init__(self, ctx: FieldContext, nums: tuple[int, ...], den: int, real=None):
+        if den != 1:
+            nums, den = _normalize(nums, den)
         self.ctx = ctx
         self.nums = nums
         self.den = den
@@ -451,7 +453,7 @@ class Scalar:
                 out[N - j] = -c
             else:
                 out[0] = c
-        return Scalar(ctx, *_normalize(ctx.reduce(out), self.den))
+        return Scalar(ctx, ctx.reduce(out), self.den)
 
     @property
     def is_real(self) -> bool:
@@ -481,14 +483,12 @@ class Scalar:
         if a.den == b.den:
             nums = tuple(map(add, a.nums, b.nums))
             den = a.den
-            if den == 1:
-                return Scalar(self.ctx, nums, 1, real=real)
         else:
             g = math.gcd(a.den, b.den)
             da, db = b.den // g, a.den // g
             nums = tuple(map(add, map(mul, a.nums, repeat(da)), map(mul, b.nums, repeat(db))))
             den = a.den * da
-        return Scalar(self.ctx, *_normalize(nums, den), real=real)
+        return Scalar(self.ctx, nums, den, real=real)
 
     __radd__ = __add__
 
@@ -508,10 +508,7 @@ class Scalar:
         if num == den == 1:
             return self
         nums = tuple(map(mul, self.nums, repeat(num)))
-        den *= self.den
-        if den == 1:
-            return Scalar(self.ctx, nums, 1, real=self._real)
-        return Scalar(self.ctx, *_normalize(nums, den), real=self._real)
+        return Scalar(self.ctx, nums, den * self.den, real=self._real)
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
@@ -533,12 +530,8 @@ class Scalar:
         for i, x in a:
             for j, y in b:
                 conv[i + j] += x * y
-        nums = self.ctx.reduce(conv)
-        den = self.den * other.den
         real = True if (self._real and other._real) else None
-        if den == 1:
-            return Scalar(self.ctx, nums, 1, real=real)
-        return Scalar(self.ctx, *_normalize(nums, den), real=real)
+        return Scalar(self.ctx, self.ctx.reduce(conv), self.den * other.den, real=real)
 
     __rmul__ = __mul__
 
@@ -613,7 +606,13 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ctx.N, self.nums, self.den))
+        if not self.is_rational():
+            return hash((self.ctx.N, self.nums, self.den))
+        if self.den == 1:
+            return hash(self.nums[0])
+        from fractions import Fraction
+
+        return hash(Fraction(self.nums[0], self.den))
 
     # -- sign and numeric views ------------------------------------------------
 

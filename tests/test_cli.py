@@ -140,6 +140,30 @@ def test_analyze_dir(capsys, tmp_path):
     assert "unknown_clique" in out
 
 
+def test_analyze_dir_reports_get_the_mode_open_would_give(capsys, tmp_path):
+    (tmp_path / "a.graph").write_text((DATA / "edge3.graph").read_text())
+    old = os.umask(0o022)
+    try:
+        code, _, _ = run(capsys, "analyze", "--dir", tmp_path)
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert (tmp_path / "a.report.json").stat().st_mode & 0o777 == 0o644
+
+
+def test_analyze_dir_unwritable_report_leaves_no_temporary_file(capsys, tmp_path):
+    (tmp_path / "a.graph").write_text((DATA / "edge3.graph").read_text())
+    (tmp_path / "b.graph").write_text((DATA / "edge3.graph").read_text())
+    report = tmp_path / "a.report.json"
+    report.mkdir()
+    code, out, err = run(capsys, "analyze", "--dir", tmp_path)
+    assert code == 1
+    assert err.count("\n") == 1 and ".tmp" not in err
+    assert err.startswith(f"{tmp_path / 'a.graph'}: error: cannot write {report}: ")
+    assert not list(tmp_path.glob("*.tmp"))
+    assert (tmp_path / "b.report.json").is_file()
+
+
 def test_analyze_dir_empty(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", "--dir", tmp_path)
     assert code == 1
@@ -295,6 +319,26 @@ def test_dihedral_command(capsys):
     assert env["result"]["free_reduced"] == "s^2"
     code, _, err = run(capsys, "dihedral", DATA / "handtrace.graph", "s")
     assert code == 1  # needs exactly two vertices
+
+
+# Text renderings that no layout test above reads: an inconclusive analysis
+# (exit 2) and both dihedral answers
+TEXT_TAILS = [
+    (("analyze", "unknown_clique.graph"), 2,
+     "NOT ESTABLISHED: center rank undetermined, at least 0\n"),
+    (("dihedral", "edge3.graph", "s t s", "t s t"), 0, "equal: True\n"),
+    (("dihedral", "edge3.graph", "s t^-1 s"), 0, "normal form: delta^-1 . t . ts . s\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, tail", TEXT_TAILS, ids=[" ".join(a) for a, _, _ in TEXT_TAILS])
+def test_text_rendering_tails(capsys, argv, code, tail):
+    command, graph, *words = argv
+    got, out, err = run(capsys, command, DATA / graph, *words)
+    assert (got, err) == (code, "")
+    assert out.endswith(tail)
+    if command == "dihedral":
+        assert out == tail
 
 
 def test_json_output_renders_no_text(capsys, monkeypatch, tmp_path):

@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import re
 
 import pytest
 
@@ -39,21 +40,24 @@ def test_comments_and_blank_lines():
     assert g.label("a", "b") == 2
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "vertices: a\nedge a a 3\n",        # self-loop
-        "vertices: a a\n",                  # duplicate vertex
-        "vertices: a b\nedge a q 3\n",      # unknown vertex
-        "vertices: a b\nedge a b 1\n",      # label < 2
-        "vertices: a b\nedge a b 3\nedge a b 4\n",  # conflicting duplicate
-        "edge a b 3\n",                     # missing vertices line
-        "vertices: a b\nedge a b x\n",      # malformed label
-        "vertices: a b\nedge a b\n",        # short edge line
-    ],
-)
+# each malformed file and the start of its one-line error
+PARSE_ERRORS = {
+    "vertices: a\nedge a a 3\n": "self-loop on 'a'",
+    "vertices: a a\n": "line 1: duplicate vertex",
+    "vertices: a b\nedge a q 3\n": "unknown vertex 'q' in edge",
+    "vertices: a b\nedge a b 1\n": "line 2: label 1 < 2",
+    "vertices: a b\nedge a b 3\nedge a b 4\n": "conflicting labels for edge (a, b)",
+    "edge a b 3\n": "line 1: expected 'vertices:' declaration first",
+    "vertices: a b\nedge a b x\n": "line 2: label 'x' is not an integer or 'inf'",
+    "vertices: a b\nedge a b\n": "line 2: expected 'edge u v m'",
+    "vertices: a 1b\n": "line 1: invalid vertex name",
+    "# comments only\n\n# no declaration\n": "missing 'vertices:' line",
+}
+
+
+@pytest.mark.parametrize("text", list(PARSE_ERRORS))
 def test_parse_errors(text):
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match=re.escape(PARSE_ERRORS[text])):
         parse_graph(text)
 
 

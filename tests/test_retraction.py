@@ -33,6 +33,15 @@ def test_hand_trace():
     assert [step.emitted for step in trace.steps] == [None, ("s", 1), None]
 
 
+def test_trace_reads_each_letter_off_the_split(monkeypatch):
+    # with retract's column test disabled, retract drops every letter, while
+    # the trace still emits the letters its coset splits name
+    word = parse_word("r s r^-1 t r s", TRI)
+    monkeypatch.setattr(retraction, "_survivor", lambda *args: None)
+    assert retract(TRI, X_ST, word) == ArtinWord()
+    assert retract_trace(TRI, X_ST, word).output == parse_word("s t s", TRI)
+
+
 def test_trace_trivial_cases():
     assert retract_trace(TRI, X_ST, ArtinWord()).steps == ()
     trace = retract_trace(TRI, X_ST, parse_word("s", TRI))

@@ -207,6 +207,25 @@ def test_rational_operands_match_coefficient_arithmetic(N):
         assert ctx.one != other
 
 
+def test_rational_scalars_hash_as_their_values():
+    # a scalar equal to an int or Fraction hashes like it, so sets and dict
+    # keys agree with ==; a non-rational scalar hashes its representation
+    ctx = field_context([5])
+    c = cos_pi_over(5, ctx)
+    for q in (0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(6, 4), Fraction(4, 2)):
+        for a in (ctx.from_rational(q), c - c + q, (c + q) - c):
+            assert a == q and hash(a) == hash(q), (a, q)
+            assert len({a, q}) == 1
+    assert {ctx.zero: 1}.get(0) == 1
+    assert {0: "zero"}[ctx.zero] == "zero"
+    assert ctx.one in {1, 2} and Fraction(1, 2) in {ctx.from_rational(Fraction(1, 2))}
+    assert hash(c) == hash(Scalar(ctx, c.nums, c.den)) and c not in {Fraction(1, 2)}
+
+
+def test_repr_of_a_field_element():
+    assert repr(cos_pi_over(5, field_context([5]))) == "Scalar((1 + 1*z^2 - 1*z^3)/2, N=5)"
+
+
 # Every N up to 30, and the benchmark's fields of degree 24, 144 and 576
 SPARSE_ORDERS = list(range(1, 31)) + [45, 315, 1260]
 
