@@ -25,13 +25,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .graph import (
-    MAX_VERTICES,
-    DefiningGraph,
-    _classify_diagram,
-    is_affine,
-    is_spherical,
-)
+from .diagram import _classify_diagram, is_affine, is_spherical
+from .graph import MAX_VERTICES, DefiningGraph
 from .words import ArtinWord
 
 SPHERICAL = "SPHERICAL"

@@ -2,15 +2,17 @@
 
 Every command reads a graph file and builds one JSON result.  With --json it
 prints the stable envelope {command, version, input, result}; otherwise it
-prints a text rendering of that result, so text and JSON agree by
+prints the text view of that result (in ``text``), so text and JSON agree by
 construction.  The analyze command's exit code triages corpora: 0 when the
 center is certified, 2 when any factor is inconclusive, 1 on input errors.
 
 Each command imports the layer it works in when it runs: analyze, split and
-dihedral never load the field arithmetic, and only analyze loads the
-analyzer.  A well-formed command line is parsed without argparse, which is
-loaded only for help, --version and usage errors; json is loaded only to
-write JSON.
+dihedral never load the field arithmetic, only analyze loads the analyzer,
+and split and dihedral never load the diagram classifier.  A well-formed
+command line is parsed without argparse, which is loaded only for help,
+--version and usage errors.  JSON is written by ``_dumps``, byte for byte
+what json.dumps(obj, indent=2, sort_keys=True) gives, which loads json only
+to escape a string; text views load only for text output.
 """
 
 from __future__ import annotations
@@ -51,23 +53,47 @@ def _envelope(command: str, input_info: dict, result: dict) -> dict:
     return {"command": command, "version": __version__, "input": input_info, "result": result}
 
 
-def _emit(args, command: str, info: dict, result: dict, render) -> None:
-    """Print the envelope under --json, otherwise the text render(result)."""
-    if args.json:
+def _dumps(obj, indent: str = "") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) for what a result holds:
+    str, int, bool, None, lists and dicts with str keys.  json itself is
+    loaded only to escape a string that is not printable ASCII or that holds
+    a quote or a backslash."""
+    if isinstance(obj, str):
+        if obj.isascii() and obj.isprintable() and '"' not in obj and "\\" not in obj:
+            return f'"{obj}"'
         import json
 
-        print(json.dumps(_envelope(command, info, result), indent=2, sort_keys=True))
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, list):
+        items = [_dumps(v, inner) for v in obj]
+        brackets = "[]"
+    elif isinstance(obj, dict):
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("keys must be str")
+        items = [f"{_dumps(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj)]
+        brackets = "{}"
     else:
-        print(render(result))
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
-def _spell(names) -> str:
-    """A word given as its letters, with the identity written 1."""
-    return " ".join(names) or "1"
+def _emit(args, command: str, info: dict, result: dict) -> None:
+    """Print the envelope under --json, otherwise the command's text view."""
+    if args.json:
+        print(_dumps(_envelope(command, info, result)))
+    else:
+        from .text import render
 
-
-def _braces(names) -> str:
-    return "{" + ", ".join(names) + "}"
+        print(render(command, result))
 
 
 # -- analyze ----------------------------------------------------------------
@@ -82,38 +108,9 @@ def _analyze_one(path: str, max_vertices: int) -> tuple[dict, dict, int]:
     return info, report.to_dict(), code
 
 
-def _render_analysis(report: dict, indent: str = "") -> str:
-    lines = [
-        f"{indent}graph: {' '.join(report['vertices']) or '(empty)'}",
-        f"{indent}irreducible factors: {len(report['factors'])}",
-    ]
-    for i, f in enumerate(report["factors"], start=1):
-        reason = f" ({f['reason']})" if f["reason"] else ""
-        lines.append(f"{indent}factor {i} {_braces(f['vertices'])}: {f['kind']}{reason}")
-        if f["generator"] is not None:
-            lines.append(f"{indent}  center generator: {f['generator']}")
-        if f["cone_points"] is not None:
-            lines.append(f"{indent}  cone points: {_braces(f['cone_points'])}")
-        if f["child"] is not None:
-            lines.append(f"{indent}  cone subgraph analysis:")
-            lines.append(_render_analysis(f["child"], indent + "    "))
-    for step in report["reasoning"]:
-        factor = _braces(step["factor"])
-        lines.append(f"{indent}rule[{step['rule']}] on {factor}: {step['statement']}")
-    rank = report["center_rank"]
-    if report["established"]:
-        lines.append(f"{indent}ESTABLISHED: center rank {rank}")
-    else:
-        lines.append(f"{indent}NOT ESTABLISHED: center rank undetermined, at least {rank}")
-    if report["center_generators"]:
-        lines.append(f"{indent}center generators: {'; '.join(report['center_generators'])}")
-    return "\n".join(lines)
-
-
 def cmd_analyze(args) -> int:
     if args.dir:
         # only a directory run lists files and writes reports, in JSON
-        import json
         import tempfile
         from pathlib import Path
 
@@ -131,11 +128,11 @@ def cmd_analyze(args) -> int:
             try:
                 info, result, code = _analyze_one(path, args.max_vertices)
                 out = Path(path).with_suffix(".report.json")
-                text = json.dumps(_envelope("analyze", info, result), indent=2, sort_keys=True)
+                text = _dumps(_envelope("analyze", info, result))
                 fd, tmp = tempfile.mkstemp(dir=str(out.parent), suffix=".tmp")
                 try:
                     with os.fdopen(fd, "w") as fh:
-                        fh.write(text)  # one call: json.dump calls write once per token
+                        fh.write(text)
                     os.chmod(tmp, 0o666 & ~umask)
                     os.replace(tmp, out)
                 except OSError as exc:
@@ -156,35 +153,15 @@ def cmd_analyze(args) -> int:
                 status = "established" if established else "unknown"
                 print(f"{path}: {status}, center rank {rank}")
         if args.json:
-            print(json.dumps(summary, indent=2, sort_keys=True))
+            print(_dumps(summary))
         return EXIT_ERROR if saw_error else worst
 
     info, result, code = _analyze_one(args.graph, args.max_vertices)
-    _emit(args, "analyze", info, result, _render_analysis)
+    _emit(args, "analyze", info, result)
     return code
 
 
 # -- word-level commands ------------------------------------------------------
-
-
-def _letter(vertex: str, exponent: int) -> str:
-    return vertex if exponent == 1 else f"{vertex}^-1"
-
-
-def _render_retract(result: dict) -> str:
-    output = result["output"] or "1"
-    if "trace" not in result:
-        return f"retraction: {output}"
-    header = f"retraction onto {_braces(result['subset'])}"
-    lines = [header, "-" * len(header)]
-    lines.append(f"{'i':>3}  {'letter':<8} {'subgroup part':<20} {'reduced part':<20} {'reflection':<24} emitted")
-    for row in result["trace"]:
-        letter = _letter(*row["letter"])
-        vp, wp, refl = (_spell(row[k]) for k in ("subgroup_part", "reduced_part", "reflection"))
-        emitted = "-" if row["emitted"] is None else _letter(*row["emitted"])
-        lines.append(f"{row['position'] + 1:>3}  {letter:<8} {vp:<20} {wp:<20} {refl:<24} {emitted}")
-    lines.append(f"output: {output}")
-    return "\n".join(lines)
 
 
 def cmd_retract(args) -> int:
@@ -208,17 +185,8 @@ def cmd_retract(args) -> int:
             }
             for s in trace.steps
         ]
-    _emit(args, "retract", info, result, _render_retract)
+    _emit(args, "retract", info, result)
     return EXIT_OK
-
-
-def _render_reduce(result: dict) -> str:
-    return (
-        f"reduced word: {_spell(result['reduced_word'])}\n"
-        f"length: {result['length']}\n"
-        f"left descents: {_braces(result['left_descents'])}\n"
-        f"right descents: {_braces(result['right_descents'])}"
-    )
 
 
 def cmd_reduce(args) -> int:
@@ -235,15 +203,8 @@ def cmd_reduce(args) -> int:
         "left_descents": list(image.left_descents()),
         "right_descents": list(image.right_descents()),
     }
-    _emit(args, "reduce", info, result, _render_reduce)
+    _emit(args, "reduce", info, result)
     return EXIT_OK
-
-
-def _render_coset(result: dict) -> str:
-    return (
-        f"subgroup part: {_spell(result['subgroup_part'])}\n"
-        f"reduced part:  {_spell(result['reduced_part'])}"
-    )
 
 
 def cmd_coset(args) -> int:
@@ -258,18 +219,8 @@ def cmd_coset(args) -> int:
         "subgroup_part": list(dec.subgroup_part.reduced_word()),
         "reduced_part": list(dec.reduced_part.reduced_word()),
     }
-    _emit(args, "coset", info, result, _render_coset)
+    _emit(args, "coset", info, result)
     return EXIT_OK
-
-
-def _render_split(result: dict) -> str:
-    left, base, right = result["left"], result["base"], result["right"]
-    return (
-        f"A{_braces(left)} *_A{_braces(base)} A{_braces(right)}\n"
-        f"left  = graph minus {result['x']}: vertices {' '.join(left) or '(none)'}\n"
-        f"base  = graph minus both:  vertices {' '.join(base) or '(none)'}\n"
-        f"right = graph minus {result['y']}: vertices {' '.join(right) or '(none)'}"
-    )
 
 
 def cmd_split(args) -> int:
@@ -282,20 +233,8 @@ def cmd_split(args) -> int:
         "base": list(base.vertices),
         "right": list(right.vertices),
     }
-    _emit(args, "split", info, result, _render_split)
+    _emit(args, "split", info, result)
     return EXIT_OK
-
-
-def _render_word(result: dict) -> str:
-    counts = ", ".join(f"{v}:{k}" for v, k in result["abelianization"].items())
-    return (
-        f"letters: {result['length']}\n"
-        f"positive: {result['positive']}\n"
-        f"support: {_braces(result['support'])}\n"
-        f"abelianization: {counts}\n"
-        f"pure (trivial Coxeter image): {result['pure']}\n"
-        f"Coxeter image reduced word: {_spell(result['coxeter_image'])}"
-    )
 
 
 def cmd_word(args) -> int:
@@ -313,17 +252,8 @@ def cmd_word(args) -> int:
         "pure": image.is_identity(),
         "coxeter_image": list(image.reduced_word()),
     }
-    _emit(args, "word", info, result, _render_word)
+    _emit(args, "word", info, result)
     return EXIT_OK
-
-
-def _render_dihedral(result: dict) -> str:
-    if "equal" in result:
-        return f"equal: {result['equal']}"
-    if "free_reduced" in result:
-        return f"freely reduced: {result['free_reduced'] or '1'}"
-    nf = result["normal_form"]
-    return f"normal form: delta^{nf['delta_power']} . {' . '.join(nf['factors']) or '1'}"
 
 
 def cmd_dihedral(args) -> int:
@@ -347,7 +277,7 @@ def cmd_dihedral(args) -> int:
             raise ValueError(f"normal form exceeds the {MAX_LETTERS}-letter guard")
         factors = ["".join(gens[(s + i) % 2] for i in range(k)) for s, k in nf.factors]
         result["normal_form"] = {"delta_power": nf.delta_power, "factors": factors}
-    _emit(args, "dihedral", info, result, _render_dihedral)
+    _emit(args, "dihedral", info, result)
     return EXIT_OK
 
 

@@ -45,9 +45,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
-# The diagram classification lives in graph; coxeter keeps the names
+# The diagram classification lives in diagram; coxeter keeps the names
 # is_spherical and is_affine for its callers.
-from .graph import INF, DefiningGraph, _diagram, is_affine, is_spherical
+from .diagram import _diagram, is_affine, is_spherical
+from .graph import INF, DefiningGraph
 
 if TYPE_CHECKING:
     from .scalar import FieldContext, Scalar

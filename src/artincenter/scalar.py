@@ -402,8 +402,9 @@ class Scalar:
     The coefficient tuple always has length equal to the context degree and is
     reduced modulo the modulus, and the constructor divides out the gcd of the
     denominator and the numerators; so the representation is canonical and
-    equality is structural.  A rational scalar hashes as its value, which it
-    equals as an int or Fraction.
+    equality is structural within a field.  A rational scalar hashes as its
+    value, which it equals as an int, a Fraction or a rational scalar of any
+    field.
     """
 
     __slots__ = ("ctx", "nums", "den", "_real", "_sign", "_terms")
@@ -599,7 +600,14 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            return self.ctx.N == other.ctx.N and self.nums == other.nums and self.den == other.den
+            if self.ctx.N == other.ctx.N:
+                return self.nums == other.nums and self.den == other.den
+            # rationals compare by value, as they hash, whatever their field
+            return (
+                self.is_rational()
+                and other.is_rational()
+                and (self.nums[0], self.den) == (other.nums[0], other.den)
+            )
         if _rational_operand(other):
             ratio = (other.numerator, other.denominator)
             return self.is_rational() and (self.nums[0], self.den) == ratio

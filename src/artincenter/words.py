@@ -7,13 +7,9 @@ words letter by letter, which is why the expansion is kept literal.
 
 from __future__ import annotations
 
-import re
-
-from .graph import DefiningGraph
+from .graph import DefiningGraph, _is_name
 
 MAX_LETTERS = 10**6
-
-_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?")
 
 
 class WordSyntaxError(ValueError):
@@ -106,32 +102,48 @@ class ArtinWord:
         return f"ArtinWord({self.to_text() or '1'})"
 
 
+def _parse_token(token: str, g: DefiningGraph) -> tuple[tuple[str, int], int]:
+    """The letter a token ``v``, ``v^k`` or ``v^-k`` spells and how many
+    times it repeats."""
+    v, caret, exp_text = token.partition("^")
+    # the exponent is -?\d+, and \d is every Unicode decimal digit, which is
+    # what str.isdecimal() accepts
+    negative = exp_text.startswith("-")
+    digits = exp_text[1:] if negative else exp_text
+    if not (_is_name(v) and (not caret or digits.isdecimal())):
+        raise WordSyntaxError(f"malformed token {token!r}")
+    if v not in g:
+        raise WordSyntaxError(f"unknown generator {v!r}")
+    if not caret:
+        return (v, 1), 1
+    # An exponent with more significant digits than the guard exceeds it;
+    # checked before int(), which refuses over 4300 digits.  Any Unicode zero
+    # may lead.
+    magnitude = digits[next((i for i, c in enumerate(digits) if int(c)), len(digits)):] or "0"
+    if len(magnitude) > len(str(MAX_LETTERS)):
+        raise WordSyntaxError(f"word exceeds the {MAX_LETTERS}-letter guard")
+    if magnitude == "0":
+        raise WordSyntaxError(f"zero exponent in {token!r}")
+    return (v, -1 if negative else 1), int(magnitude)
+
+
 def parse_word(text: str, g: DefiningGraph) -> ArtinWord:
     """Parse whitespace-separated tokens ``v``, ``v^k`` or ``v^-k`` over the
-    graph's vertices; exponents expand into repeated single letters."""
+    graph's vertices; exponents expand into repeated single letters.  A word
+    repeats a few distinct tokens, so each is parsed once."""
     letters: list[tuple[str, int]] = []
+    parsed: dict[str, tuple[tuple[str, int], int]] = {}
     for token in text.split():
-        match = _TOKEN_RE.fullmatch(token)
-        if not match:
-            raise WordSyntaxError(f"malformed token {token!r}")
-        v, exp_text = match.group(1), match.group(2)
-        if v not in g:
-            raise WordSyntaxError(f"unknown generator {v!r}")
-        exp = 1
-        if exp_text is not None:
-            # An exponent with more significant digits than the guard exceeds
-            # it; checked before int(), which refuses over 4300 digits.  \d
-            # matches every Unicode decimal digit, so any zero may lead.
-            digits = exp_text.lstrip("-")
-            magnitude = digits[next((i for i, c in enumerate(digits) if int(c)), len(digits)):] or "0"
-            if len(magnitude) > len(str(MAX_LETTERS)):
-                raise WordSyntaxError(f"word exceeds the {MAX_LETTERS}-letter guard")
-            exp = -int(magnitude) if exp_text.startswith("-") else int(magnitude)
-        if exp == 0:
-            raise WordSyntaxError(f"zero exponent in {token!r}")
-        if len(letters) + abs(exp) > MAX_LETTERS:
+        hit = parsed.get(token)
+        if hit is None:
+            hit = parsed[token] = _parse_token(token, g)
+        letter, count = hit
+        if len(letters) + count > MAX_LETTERS:
             raise WordSyntaxError(f"word exceeds the {MAX_LETTERS}-letter guard")
-        letters.extend([(v, 1 if exp > 0 else -1)] * abs(exp))
+        if count == 1:  # most tokens; a list per token costs a third of the parse
+            letters.append(letter)
+        else:
+            letters.extend([letter] * count)
     return ArtinWord(tuple(letters))
 
 

@@ -18,7 +18,9 @@ by the schoolbook convolution over every coefficient of both operands, sums
 by Fraction coefficients, conjugation through the table of all 2N root
 powers, signs of real field elements by outward-rounded mpmath interval
 sums, rank-2 Garside normal forms by fixed-point combing of a
-simple-factor list, and the command line by the hand-written argparse parser.
+simple-factor list, the command line by the hand-written argparse parser,
+vertex names and word tokens by regular expressions, and JSON output by
+json.dumps.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -46,11 +49,12 @@ from artincenter.coxeter import (
     simple_reflection,
     theta,
 )
+from artincenter.diagram import is_spherical
 from artincenter.dihedral import dihedral_equal
 from artincenter.retraction import retract, retract_trace
-from artincenter.graph import INF, MAX_VERTICES, DefiningGraph, is_spherical, make_graph
+from artincenter.graph import INF, MAX_VERTICES, DefiningGraph, make_graph
 from artincenter.scalar import FieldContext, Scalar, cos_pi_over
-from artincenter.words import ArtinWord, abelianize
+from artincenter.words import MAX_LETTERS, ArtinWord, WordSyntaxError, abelianize
 
 
 def bfs_enumerate(g: DefiningGraph, limit: int = 10000) -> dict[CoxeterElement, int]:
@@ -940,3 +944,35 @@ def reference_main(argv: list[str]) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return cli.EXIT_ERROR
+
+
+# The grammar of vertex names and word tokens as regular expressions: the
+# oracle for graph._is_name and words.parse_word.
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?")
+
+
+def reference_parse_word(text: str, g: DefiningGraph) -> ArtinWord:
+    """parse_word by TOKEN_RE, with the same checks and messages in the same
+    order."""
+    letters: list[tuple[str, int]] = []
+    for token in text.split():
+        match = TOKEN_RE.fullmatch(token)
+        if not match:
+            raise WordSyntaxError(f"malformed token {token!r}")
+        v, exp_text = match.group(1), match.group(2)
+        if v not in g:
+            raise WordSyntaxError(f"unknown generator {v!r}")
+        exp = 1
+        if exp_text is not None:
+            digits = exp_text.lstrip("-")
+            magnitude = digits[next((i for i, c in enumerate(digits) if int(c)), len(digits)):] or "0"
+            if len(magnitude) > len(str(MAX_LETTERS)):
+                raise WordSyntaxError(f"word exceeds the {MAX_LETTERS}-letter guard")
+            exp = -int(magnitude) if exp_text.startswith("-") else int(magnitude)
+        if exp == 0:
+            raise WordSyntaxError(f"zero exponent in {token!r}")
+        if len(letters) + abs(exp) > MAX_LETTERS:
+            raise WordSyntaxError(f"word exceeds the {MAX_LETTERS}-letter guard")
+        letters.extend([(v, 1 if exp > 0 else -1)] * abs(exp))
+    return ArtinWord(tuple(letters))

@@ -14,11 +14,11 @@ from artincenter.analyzer import (
     is_two_dimensional,
     spherical_center_generator,
 )
-from artincenter.cli import _render_analysis
 from artincenter.coxeter import is_affine, is_spherical
 from artincenter.dihedral import dihedral_center_generator, dihedral_equal
 from artincenter.graph import INF, make_graph
 from artincenter.scalar import _context_for
+from artincenter.text import _render_analysis
 
 from helpers import (
     all_graphs,

@@ -2,14 +2,16 @@ import json
 import os
 import pathlib
 import random
+import shutil
 import subprocess
 import sys
+from itertools import combinations
 
 import jsonschema
 import pytest
 from helpers import reference_main, reference_parser
 
-from artincenter import cli, retraction
+from artincenter import cli, retraction, text
 from artincenter.analyzer import AnalysisReport
 from artincenter.cli import main
 from artincenter.coxeter import MAX_KERNEL_VERTICES
@@ -345,11 +347,11 @@ def test_json_output_renders_no_text(capsys, monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("text rendered under --json")
 
-    helpers = ["_spell", "_braces", "_letter"]
-    renderers = [name for name in vars(cli) if name.startswith("_render_")]
+    helpers = ["render", "_spell", "_braces", "_letter"]
+    renderers = [name for name in vars(text) if name.startswith("_render_")]
     assert len(renderers) == 7
     for name in renderers + helpers:
-        monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(text, name, refuse)
     (tmp_path / "g.graph").write_text((DATA / "highdeg96.graph").read_text())
     cases = [
         ("analyze", DATA / "highdeg96.graph"),
@@ -369,6 +371,81 @@ def test_json_output_renders_no_text(capsys, monkeypatch, tmp_path):
         assert code == 0 and err == "", argv
         json.loads(out)
     assert not hasattr(AnalysisReport, "to_text") and not hasattr(RetractionTrace, "to_text")
+
+
+def _every_command(path: pathlib.Path) -> list[list]:
+    """An argv of each command, and each form of it, that the graph takes."""
+    g = parse_graph(path.read_text())
+    v = g.vertices
+    word = " ".join(v) + f" {v[0]}^-2 {v[-1]}^3"
+    subset = ",".join(v[:-1]) or v[0]
+    argvs = [
+        ["analyze", path],
+        ["reduce", path, word],
+        ["word", path, word],
+        ["coset", path, subset, word],
+        ["retract", path, subset, word],
+        ["retract", path, subset, word, "--trace"],
+    ]
+    argvs += [["split", path, x, y] for x, y in combinations(v, 2) if not g.adjacent(x, y)][:1]
+    if len(v) == 2:
+        argvs += [["dihedral", path, word], ["dihedral", path, word, " ".join(reversed(word.split()))]]
+    return argvs
+
+
+def test_json_writer_is_json_dumps(capsys, monkeypatch, tmp_path):
+    # every command's envelope on every graph, and analyze --dir's reports
+    # and summary, are written as json.dumps(indent=2, sort_keys=True) would;
+    # a non-ASCII directory name sends the paths through the escape
+    dumps, written = cli._dumps, []
+
+    def checked(obj, indent=""):
+        out = dumps(obj, indent)
+        if not indent:
+            assert out == json.dumps(obj, indent=2, sort_keys=True)
+            written.append(obj)
+        return out
+
+    monkeypatch.setattr(cli, "_dumps", checked)
+    paths = sorted(DATA.glob("*.graph"))
+    commands = set()
+    for path in paths:
+        for argv in _every_command(path):
+            code, out, err = run(capsys, *argv, "--json")
+            assert code in (0, 2) and err == "", argv
+            assert out == json.dumps(written[-1], indent=2, sort_keys=True) + "\n"
+            commands.add(argv[0])
+    assert commands == set(cli._COMMANDS)
+    corpus = tmp_path / "d\u00efr \"\\"
+    corpus.mkdir()
+    for path in paths:
+        shutil.copy(path, corpus)
+    code, out, err = run(capsys, "analyze", "--dir", corpus, "--json")
+    assert code == 2 and err == ""
+    assert written[-1] == json.loads(out) and len(written[-1]) == len(paths)
+    for path in paths:
+        report = (corpus / path.name).with_suffix(".report.json").read_text()
+        assert json.loads(report)["input"]["path"] == str(corpus / path.name)
+        assert json.loads(report) in written
+
+
+ESCAPED = [chr(c) for c in range(128)] + [
+    "", "plain", 'say "x"', "back\\slash", "tab\there", "\x7f", "caf\u00e9", "\u2028", "\ud83d\ude00",
+    "\U0001f600", "\ud800", "x0 x1^-2", "d\u00efr/edge3.graph",
+]
+
+
+def test_json_writer_escapes_as_json_dumps():
+    for value in ESCAPED:
+        assert cli._dumps(value) == json.dumps(value)
+    nested = {"list": ESCAPED, "keys": {s: [s, None, True, False, -3, 10**40] for s in ESCAPED}, "": [[], {}]}
+    assert cli._dumps(nested) == json.dumps(nested, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [(1,), 1.5, {1: 2}, {("a",): 1}, {"a"}, b"a", [{"a": (1,)}]])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._dumps(value)
 
 
 def test_round_trip_normalization(capsys, tmp_path):
@@ -741,8 +818,8 @@ def test_analyze_dir_loads_tempfile_and_pathlib(tmp_path):
 
 
 # argparse brings gettext and locale (about 3.4 ms), and json brings its
-# decoder and encoder: a well-formed argv needs neither, and only JSON output
-# needs json
+# decoder and encoder: a well-formed argv needs neither, and JSON output loads
+# json only to escape a string that is not printable ASCII
 PARSER_MODULES = ("argparse", "gettext", "locale")
 
 
@@ -750,15 +827,16 @@ PARSER_MODULES = ("argparse", "gettext", "locale")
     "argv, loaded",
     [
         (["analyze", "edge3.graph"], []),
-        (["analyze", "--dir", "DIR"], ["json"]),
+        (["analyze", "--dir", "DIR"], []),
         (["reduce", "edge3.graph", "t s t"], []),
-        (["reduce", "edge3.graph", "t s t", "--json"], ["json"]),
-        (["coset", "edge3.graph", "s", "s t", "--json"], ["json"]),
+        (["reduce", "edge3.graph", "t s t", "--json"], []),
+        (["coset", "edge3.graph", "s", "s t", "--json"], []),
         (["retract", "edge3.graph", "s", "t s t^-1 s", "--trace"], []),
-        (["dihedral", "edge3.graph", "s t s", "t s t", "--json"], ["json"]),
+        (["dihedral", "edge3.graph", "s t s", "t s t", "--json"], []),
+        (["analyze", "--dir", "DIR", "--json"], []),
     ],
     ids=["analyze", "analyze-dir", "reduce-text", "reduce-json", "coset", "retract-trace",
-         "dihedral-eq"],
+         "dihedral-eq", "analyze-dir-json"],
 )
 def test_well_formed_argv_does_not_load_argparse(argv, loaded, tmp_path):
     # -S keeps site, which may load some of these itself, out of start-up
@@ -781,6 +859,32 @@ def test_help_and_usage_errors_load_argparse(argv, code):
         argv, f"[m for m in {PARSER_MODULES!r} if m in sys.modules]", flags=("-S",), code=code
     )
     assert reported == repr(list(PARSER_MODULES))
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["analyze", "edge3.graph", "--json"], ["artincenter.diagram"]),
+        (["reduce", "edge3.graph", "t s t", "--json"], ["artincenter.diagram"]),
+        (["dihedral", "edge3.graph", "s t^-1 s", "--json"], []),
+        (["dihedral", "edge3.graph", "s t s", "t s t", "--json"], []),
+        (["split", "path33.graph", "a", "c", "--json"], []),
+        (["dihedral", "edge3.graph", "s t^-1 s"], ["artincenter.text"]),
+        (["split", "path33.graph", "a", "c"], ["artincenter.text"]),
+        (["reduce", "edge3.graph", "t s t"], ["artincenter.diagram", "artincenter.text"]),
+    ],
+    ids=["analyze-json", "reduce-json", "dihedral-json", "dihedral-eq-json", "split-json",
+         "dihedral-text", "split-text", "reduce-text"],
+)
+def test_text_views_and_classifier_load_only_where_used(argv, loaded):
+    # only text output loads the text views, and split and dihedral never
+    # classify a diagram
+    command, graph, *rest = argv
+    modules = ("artincenter.diagram", "artincenter.text")
+    _out, reported = _fresh_run(
+        [command, DATA / graph, *rest], f"[m for m in {modules!r} if m in sys.modules]"
+    )
+    assert reported == repr(loaded)
 
 
 def test_non_crystallographic_graphs_load_field_arithmetic():

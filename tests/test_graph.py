@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from artincenter import graph
 from artincenter.coxeter import simple_reflection
 from artincenter.graph import (
     INF,
@@ -14,6 +15,8 @@ from artincenter.graph import (
     make_graph,
     parse_graph,
 )
+
+from helpers import NAME_RE
 
 
 def test_parse_basic():
@@ -110,9 +113,41 @@ def test_vertex_names_are_matched_whole(name):
     # "$" alone would also match before a trailing newline, and to_text would
     # then write a file that parse_graph rejects
     with pytest.raises(GraphFormatError, match="invalid vertex name"):
-        DefiningGraph((name, "b"), ((0, 1, 3),))
+        DefiningGraph((name, "q"), ((0, 1, 3),))
     with pytest.raises(GraphFormatError, match="invalid vertex name"):
-        make_graph([name, "b"], [(name, "b", 3)])
+        make_graph([name, "q"], [(name, "q", 3)])
+
+
+# ASCII near misses and non-ASCII letters and digits, which isalnum() and
+# isidentifier() accept but the grammar does not
+NAME_CHARS = "ab_Z09$-^." + "\u00e9\u0131\u212a\u00df\u0660\u00b2\uff10\u4e00"
+
+
+def test_vertex_names_match_the_regex_oracle():
+    # every character alone, then fuzzed names, each through both
+    # constructors and the file parser
+    rng = random.Random(20)
+    names = [chr(c) for c in range(0x110000)]
+    names += ["".join(rng.choices(NAME_CHARS, k=rng.randint(0, 6))) for _ in range(20000)]
+    for name in names:
+        assert graph._is_name(name) == bool(NAME_RE.fullmatch(name)), repr(name)
+    for name in names[0x110000 :: 10] + [chr(c) for c in range(256) if chr(c) != "q"]:
+        valid = bool(NAME_RE.fullmatch(name))
+        for build in (
+            lambda: DefiningGraph((name, "q"), ((0, 1, 3),)),
+            lambda: make_graph([name, "q"], [(name, "q", 3)]),
+        ):
+            try:
+                build()
+                assert valid, repr(name)
+            except GraphFormatError as exc:
+                assert not valid and str(exc) == f"invalid vertex name {name!r}", repr(name)
+        if name.split() == [name] and "#" not in name:  # no blank, no comment
+            try:
+                parse_graph(f"vertices: {name} q\nedge {name} q 3\n")
+                assert valid, repr(name)
+            except GraphFormatError as exc:
+                assert not valid and str(exc) == "line 1: invalid vertex name", repr(name)
 
 
 def test_cone_points():

@@ -222,6 +222,21 @@ def test_rational_scalars_hash_as_their_values():
     assert hash(c) == hash(Scalar(ctx, c.nums, c.den)) and c not in {Fraction(1, 2)}
 
 
+def test_rational_scalars_compare_by_value_across_fields():
+    # equality agrees with the value hash: rationals are equal whatever the
+    # field, and other elements only within one field
+    three, five = field_context([3]), field_context([5])
+    assert three.N != five.N
+    for q in (0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3)):
+        a, b = three.from_rational(q), five.from_rational(q)
+        assert a == b and b == a and a == q == b
+        assert len({a, q, b}) == 1
+    assert three.from_rational(3) != five.from_rational(Fraction(3, 2))
+    c = cos_pi_over(5, five)
+    assert c != three.from_rational(Fraction(1, 2)) and three.from_rational(Fraction(1, 2)) != c
+    assert c != cos_pi_over(5, field_context([5, 3]))  # the same number in Q(zeta_15)
+
+
 def test_repr_of_a_field_element():
     assert repr(cos_pi_over(5, field_context([5]))) == "Scalar((1 + 1*z^2 - 1*z^3)/2, N=5)"
 

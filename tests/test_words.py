@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 
 import pytest
 
@@ -9,7 +10,7 @@ from artincenter.coxeter import theta
 from artincenter.graph import make_graph
 from artincenter.words import ArtinWord, WordSyntaxError, abelianize, is_pure, parse_word
 
-from helpers import random_word
+from helpers import random_word, reference_parse_word
 
 G = make_graph(["s", "t", "u"], [("s", "t", 3), ("t", "u", 2)])
 
@@ -60,6 +61,45 @@ def test_any_decimal_zero_leads_an_exponent():
         assert len(parse_word(f"s^{at_guard}", G)) == words.MAX_LETTERS
         with pytest.raises(WordSyntaxError, match="1000000-letter guard"):
             parse_word(f"s^{at_guard} t", G)
+
+
+def test_decimal_digits_are_what_backslash_d_matches():
+    # the exponent's digits are checked by str.isdecimal(), the regex's by \d
+    digit = re.compile(r"\d")
+    for c in map(chr, range(0x110000)):
+        assert c.isdecimal() == bool(digit.fullmatch(c)), hex(ord(c))
+
+
+# Pieces of fuzzed tokens: vertices and a name that is not one, the grammar's
+# signs, ASCII and Unicode decimal digits (Arabic-Indic, fullwidth,
+# mathematical), a digit and letters that are not decimal or not ASCII, and a
+# no-break space, which str.split() also splits at
+WORD_PIECES = ["s", "t", "u", "st", "_", "^", "^-", "-", "0", "1", "7", "\u0660", "\u0669", "\uff19",
+               "\U0001d7ce", "\u00b2", "\u00e9", "\u0131", "+", ".", " ", "\u00a0"]
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text, G).letters
+    except WordSyntaxError as exc:
+        return str(exc)
+
+
+def test_parse_word_matches_the_regex_oracle():
+    # acceptance, the letters and every error message agree with the regex on
+    # fuzzed texts, on each vertex with each piece appended, and on texts
+    # that repeat themselves
+    rng = random.Random(21)
+    texts = ["".join(rng.choices(WORD_PIECES, k=rng.randint(1, 5))) for _ in range(20000)]
+    texts += [f"{v}{c}" for v in G.vertices for c in WORD_PIECES]
+    texts += [f"{v}^{sign}{c}" for v in G.vertices for sign in ("", "-") for c in WORD_PIECES]
+    texts += [f"{text} {text}" for text in texts[:2000]]  # a token parsed before
+    outcomes = set()
+    for text in texts:
+        expected = _parse_outcome(reference_parse_word, text)
+        assert _parse_outcome(parse_word, text) == expected, repr(text)
+        outcomes.add(expected.split(" ")[0] if isinstance(expected, str) else "accepted")
+    assert outcomes == {"accepted", "malformed", "unknown", "zero"}
 
 
 def test_length_guard_counts_exponents_before_expanding(monkeypatch):
