@@ -29,6 +29,9 @@ from .diagram import _classify_diagram, is_affine, is_spherical
 from .graph import MAX_VERTICES, DefiningGraph
 from .words import ArtinWord
 
+# Maximal cliques the FC-type test examines: the most a 21-vertex graph has
+MAX_CLIQUES = 3**7
+
 SPHERICAL = "SPHERICAL"
 ESTABLISHED_TRIVIAL = "ESTABLISHED_TRIVIAL"
 UNKNOWN = "UNKNOWN"
@@ -158,9 +161,15 @@ def is_fc_type(g: DefiningGraph) -> bool:
     """True iff every clique induces a spherical subgraph.
 
     Principal submatrices of a positive definite form are positive definite,
-    so it is enough to check maximal cliques.
+    so it is enough to check maximal cliques.  There can be 3^(n/3) of them
+    (Moon-Moser), so the test is refused past MAX_CLIQUES.
     """
-    return all(is_spherical(g.induced(clique)) for clique in g.maximal_cliques())
+    for count, clique in enumerate(g.maximal_cliques(), start=1):
+        if count > MAX_CLIQUES:
+            raise ValueError(f"FC-type test exceeds the {MAX_CLIQUES}-maximal-clique guard")
+        if not is_spherical(g.induced(clique)):
+            return False
+    return True
 
 
 def spherical_center_generator(g: DefiningGraph) -> ArtinWord:
@@ -192,9 +201,7 @@ _BASE_CLASS_RULES: tuple[tuple[str, object], ...] = (
 
 
 def _resolve_factor(
-    factor: DefiningGraph,
-    max_vertices: int,
-    base_rules: tuple[tuple[str, object], ...],
+    factor: DefiningGraph, base_rules: tuple[tuple[str, object], ...]
 ) -> tuple[FactorAnalysis, ReasoningStep]:
     premises: list[tuple[str, bool]] = []
 
@@ -223,7 +230,7 @@ def _resolve_factor(
     if not cone:
         return verdict(NOT_CONE, ESTABLISHED_TRIVIAL, cone)
 
-    child = establish(factor.induced(cone), max_vertices=max_vertices, _base_rules=base_rules)
+    child = establish(factor.induced(cone), _base_rules=base_rules)
     premises.append(("cone_subgraph_established", child.established))
     if child.established:
         return verdict(CONE_RECURSION, ESTABLISHED_TRIVIAL, cone, child)
@@ -231,21 +238,18 @@ def _resolve_factor(
 
 
 def establish(
-    g: DefiningGraph,
-    max_vertices: int = MAX_VERTICES,
-    _base_rules: tuple[tuple[str, object], ...] = _BASE_CLASS_RULES,
+    g: DefiningGraph, _base_rules: tuple[tuple[str, object], ...] = _BASE_CLASS_RULES
 ) -> AnalysisReport:
     """Analyze a graph and certify its center where the rule chain applies.
 
     The report is established when every irreducible factor is resolved; the
     center rank is then the number of spherical factors, with one explicit
-    generator word per spherical factor.
+    generator word per spherical factor.  The cone recursion runs on the
+    cone points, which form a clique, so it goes at most one level deep.
     """
-    if len(g.vertices) > max_vertices:
-        raise ValueError(
-            f"graph has {len(g.vertices)} vertices; guard is {max_vertices}"
-        )
-    verdicts = [_resolve_factor(f, max_vertices, _base_rules) for f in g.join_factors()]
+    if len(g.vertices) > MAX_VERTICES:
+        raise ValueError(f"graph has {len(g.vertices)} vertices; guard is {MAX_VERTICES}")
+    verdicts = [_resolve_factor(f, _base_rules) for f in g.join_factors()]
     factors = tuple(analysis for analysis, _ in verdicts)
     generators = tuple(f.generator for f in factors if f.generator is not None)
     return AnalysisReport(

@@ -5,6 +5,8 @@ prints the stable envelope {command, version, input, result}; otherwise it
 prints the text view of that result (in ``text``), so text and JSON agree by
 construction.  The analyze command's exit code triages corpora: 0 when the
 center is certified, 2 when any factor is inconclusive, 1 on input errors.
+analyze takes a graph file or --dir, not both.  No option moves a limit:
+graph.MAX_VERTICES and analyzer.MAX_CLIQUES are constants.
 
 Each command imports the layer it works in when it runs: analyze, split and
 dihedral never load the field arithmetic, only analyze loads the analyzer,
@@ -22,7 +24,7 @@ import sys
 from types import SimpleNamespace
 
 from . import __version__
-from .graph import INF, MAX_VERTICES, DefiningGraph, parse_graph
+from .graph import INF, DefiningGraph, parse_graph
 from .words import MAX_LETTERS, abelianize, parse_word
 
 EXIT_OK = 0
@@ -99,11 +101,11 @@ def _emit(args, command: str, info: dict, result: dict) -> None:
 # -- analyze ----------------------------------------------------------------
 
 
-def _analyze_one(path: str, max_vertices: int) -> tuple[dict, dict, int]:
+def _analyze_one(path: str) -> tuple[dict, dict, int]:
     from .analyzer import establish
 
     g, info = _load_graph(path)
-    report = establish(g, max_vertices=max_vertices)
+    report = establish(g)
     code = EXIT_OK if report.established else EXIT_UNKNOWN
     return info, report.to_dict(), code
 
@@ -126,7 +128,7 @@ def cmd_analyze(args) -> int:
         summary = []
         for path in paths:
             try:
-                info, result, code = _analyze_one(path, args.max_vertices)
+                info, result, code = _analyze_one(path)
                 out = Path(path).with_suffix(".report.json")
                 text = _dumps(_envelope("analyze", info, result))
                 fd, tmp = tempfile.mkstemp(dir=str(out.parent), suffix=".tmp")
@@ -156,7 +158,7 @@ def cmd_analyze(args) -> int:
             print(_dumps(summary))
         return EXIT_ERROR if saw_error else worst
 
-    info, result, code = _analyze_one(args.graph, args.max_vertices)
+    info, result, code = _analyze_one(args.graph)
     _emit(args, "analyze", info, result)
     return code
 
@@ -293,8 +295,6 @@ _COMMANDS = {
     "analyze": ("certify the center of a graph's Artin group", (
         ("graph", {"nargs": "?", "help": "graph file"}),
         ("--dir", {"help": "analyze every .graph file in a directory"}),
-        ("--max-vertices", {"type": int, "default": MAX_VERTICES,
-                            "help": f"vertex-count guard (default {MAX_VERTICES})"}),
     )),
     "retract": ("retract a word onto a vertex subset", (
         ("graph", {}),
@@ -362,7 +362,7 @@ def _match(argv: list[str]) -> SimpleNamespace | None:
         dest = name.lstrip("-").replace("-", "_")
         if name.startswith("-"):
             options[name] = (dest, keywords)
-            values[dest] = False if keywords.get("action") == "store_true" else keywords.get("default")
+            values[dest] = False if keywords.get("action") == "store_true" else None
         else:
             (optional if keywords.get("nargs") == "?" else required).append(dest)
             values[dest] = None
@@ -381,16 +381,8 @@ def _match(argv: list[str]) -> SimpleNamespace | None:
         value = next(it, None)
         if value is None or value.startswith("-"):
             return None
-        if keywords.get("type") is int:
-            # argparse's int() also takes signs, underscores and non-ASCII digits
-            if not (value.isascii() and value.isdigit()):
-                return None
-            try:
-                value = int(value)
-            except ValueError:  # past the interpreter's limit on digits
-                return None
         values[dest] = value
-    if command == "analyze" and not values["dir"] and not values["graph"]:
+    if command == "analyze" and bool(values["dir"]) == bool(values["graph"]):
         return None
     return SimpleNamespace(**values)
 
@@ -402,8 +394,8 @@ def main(argv: list[str] | None = None) -> int:
     if args is None:
         parser = _build_parser()
         args = parser.parse_args(argv)
-        if args.command == "analyze" and not args.dir and not args.graph:
-            parser.error("analyze needs a graph file or --dir")
+        if args.command == "analyze" and bool(args.dir) == bool(args.graph):
+            parser.error("analyze needs a graph file or --dir" + (", not both" if args.dir else ""))
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

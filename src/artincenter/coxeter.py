@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 # The diagram classification lives in diagram; coxeter keeps the names
 # is_spherical and is_affine for its callers.
 from .diagram import _diagram, is_affine, is_spherical
-from .graph import INF, DefiningGraph
+from .graph import INF, MAX_VERTICES, DefiningGraph
 
 if TYPE_CHECKING:
     from .scalar import FieldContext, Scalar
@@ -60,9 +60,6 @@ Matrix = tuple[tuple["int | Scalar", ...], ...]
 Ring = Union[type, "FieldContext"]
 
 MAX_COXETER_ORDER_STEPS = 10**5
-
-# Vertex guard of every kernel command: a matrix has n^2 entries
-MAX_KERNEL_VERTICES = 256
 
 # 4cos^2(pi/m) for the labels whose Cartan coefficients are ints
 _INTEGRAL = {3: 1, 4: 2, 6: 3, INF: 4}
@@ -78,8 +75,8 @@ def field_of(g: DefiningGraph) -> Ring:
     Every matrix is built over a ring from here, so the vertex guard is here.
     """
     n = len(g.vertices)
-    if n > MAX_KERNEL_VERTICES:
-        raise ValueError(f"graph has {n} vertices; kernel guard is {MAX_KERNEL_VERTICES}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"graph has {n} vertices; kernel guard is {MAX_VERTICES}")
     labels = [m if m % 2 else m // 2 for m in g.finite_labels() if m != 2 and m not in _INTEGRAL]
     if not labels:
         return int
@@ -132,8 +129,9 @@ def _cartan(m, earlier: bool, ring: Ring):
 
 
 # The kernel's one cache: a request asks for its graph's table many times, and
-# at degree 576 a rebuild is 0.4 ms of field products (0.9 ms on a cold field)
-@lru_cache(maxsize=None)
+# at degree 576 a rebuild is 0.4 ms of field products (0.9 ms on a cold field).
+# A command uses one entry; the bound keeps a library loop over graphs flat.
+@lru_cache(maxsize=4)
 def _neighbours(g: DefiningGraph) -> tuple[Neighbours, ...]:
     ring = field_of(g)
     rows = []

@@ -19,8 +19,9 @@ from typing import Iterable, Iterator
 
 INF = float("inf")
 
-# Default vertex-count guard of `analyze` (its --max-vertices option).
-MAX_VERTICES = 16
+# Vertex guard of analyze and the kernel: a kernel matrix has n^2 entries, and
+# the analyzer's one exponential step, its clique search, has its own budget
+MAX_VERTICES = 256
 
 
 def _is_name(v: str) -> bool:

@@ -331,7 +331,8 @@ class FieldContext:
         return cached
 
 
-@lru_cache(maxsize=None)
+# One context per N keeps a command's scalars on the `ctx is` fast path
+@lru_cache(maxsize=4)
 def _context_for(N: int) -> FieldContext:
     return FieldContext(N)
 

@@ -52,7 +52,7 @@ from artincenter.coxeter import (
 from artincenter.diagram import is_spherical
 from artincenter.dihedral import dihedral_equal
 from artincenter.retraction import retract, retract_trace
-from artincenter.graph import INF, MAX_VERTICES, DefiningGraph, make_graph
+from artincenter.graph import INF, DefiningGraph, make_graph
 from artincenter.scalar import FieldContext, Scalar, cos_pi_over
 from artincenter.words import MAX_LETTERS, ArtinWord, WordSyntaxError, abelianize
 
@@ -853,6 +853,20 @@ def random_single_cone_graph(rng: random.Random, n: int) -> DefiningGraph:
     return g
 
 
+def layered_fc_graph_text(layers: int) -> str:
+    """Graph file of an FC-type graph with 3^layers maximal cliques, the
+    Moon-Moser extreme: three vertices per layer, no edge inside a layer,
+    label 3 between neighbouring layers and 2 between the others.  A maximal
+    clique takes one vertex per layer and spans the path diagram A_layers."""
+    names = [f"v{k}_{i}" for k in range(layers) for i in range(3)]
+    lines = ["vertices: " + " ".join(names)]
+    for a, b in combinations(range(len(names)), 2):
+        gap = b // 3 - a // 3
+        if gap:
+            lines.append(f"edge {names[a]} {names[b]} {3 if gap == 1 else 2}")
+    return "\n".join(lines) + "\n"
+
+
 def random_cone_free_graph(rng: random.Random, n: int) -> DefiningGraph:
     """Graph with no cone points: every vertex gets at least one non-neighbor."""
     assert n >= 2
@@ -889,8 +903,6 @@ def reference_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="certify the center of a graph's Artin group")
     p.add_argument("graph", nargs="?", help="graph file")
     p.add_argument("--dir", help="analyze every .graph file in a directory")
-    guard = f"vertex-count guard (default {MAX_VERTICES})"
-    p.add_argument("--max-vertices", type=int, default=MAX_VERTICES, help=guard)
     p.set_defaults(func=cli.cmd_analyze)
 
     p = sub.add_parser("retract", help="retract a word onto a vertex subset")
@@ -939,6 +951,8 @@ def reference_main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.command == "analyze" and not args.dir and not args.graph:
         parser.error("analyze needs a graph file or --dir")
+    if args.command == "analyze" and args.dir and args.graph:
+        parser.error("analyze needs a graph file or --dir, not both")
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

@@ -6,6 +6,7 @@ import pytest
 from artincenter.analyzer import (
     CONE_RECURSION,
     ESTABLISHED_TRIVIAL,
+    MAX_CLIQUES,
     SPHERICAL,
     UNKNOWN,
     _BASE_CLASS_RULES,
@@ -16,7 +17,7 @@ from artincenter.analyzer import (
 )
 from artincenter.coxeter import is_affine, is_spherical
 from artincenter.dihedral import dihedral_center_generator, dihedral_equal
-from artincenter.graph import INF, make_graph
+from artincenter.graph import INF, MAX_VERTICES, make_graph, parse_graph
 from artincenter.scalar import _context_for
 from artincenter.text import _render_analysis
 
@@ -24,6 +25,7 @@ from helpers import (
     all_graphs,
     diagram_graph,
     fc_by_subsets,
+    layered_fc_graph_text,
     named_diagrams,
     random_cone_free_graph,
     random_graph,
@@ -178,9 +180,26 @@ def test_empty_graph():
 
 
 def test_max_vertices_guard():
-    g = make_graph([f"v{i}" for i in range(5)], [])
-    with pytest.raises(ValueError):
-        establish(g, max_vertices=4)
+    # isolated vertices, every label infinite: one two-dimensional factor
+    g = make_graph([f"v{i}" for i in range(MAX_VERTICES)], [])
+    assert [f.reason for f in establish(g).factors] == ["TWO_DIMENSIONAL"]
+    g = make_graph([f"v{i}" for i in range(MAX_VERTICES + 1)], [])
+    with pytest.raises(ValueError, match=f"graph has {MAX_VERTICES + 1} vertices; guard is {MAX_VERTICES}$"):
+        establish(g)
+
+
+def test_fc_type_clique_budget():
+    # 3^k maximal cliques on 3k vertices: 7 layers meet the budget, 8 pass it
+    assert MAX_CLIQUES == 3**7
+    small = parse_graph(layered_fc_graph_text(3))
+    assert is_fc_type(small) and fc_by_subsets(small)
+    g = parse_graph(layered_fc_graph_text(7))
+    assert sum(1 for _ in g.maximal_cliques()) == MAX_CLIQUES
+    assert [f.reason for f in establish(g).factors] == ["FC_TYPE"]
+    g = parse_graph(layered_fc_graph_text(8))
+    assert not is_two_dimensional(g) and not is_affine(g)
+    with pytest.raises(ValueError, match="FC-type test exceeds the 2187-maximal-clique guard$"):
+        establish(g)
 
 
 def test_raag_center_formula():

@@ -9,13 +9,12 @@ from itertools import combinations
 
 import jsonschema
 import pytest
-from helpers import reference_main, reference_parser
+from helpers import layered_fc_graph_text, reference_main, reference_parser
 
 from artincenter import cli, retraction, text
 from artincenter.analyzer import AnalysisReport
 from artincenter.cli import main
-from artincenter.coxeter import MAX_KERNEL_VERTICES
-from artincenter.graph import parse_graph
+from artincenter.graph import MAX_VERTICES, parse_graph
 from artincenter.retraction import RetractionTrace
 from artincenter.scalar import MAX_FIELD_DEGREE, FieldContext
 
@@ -75,12 +74,8 @@ def test_analyze_input_error(capsys, tmp_path):
 
 
 def test_analyze_max_vertices_flag(capsys, tmp_path):
-    big = tmp_path / "big.graph"
-    big.write_text("vertices: a b c d e\n")
-    code, _, err = run(capsys, "analyze", big, "--max-vertices", "4")
-    assert code == 1 and "guard" in err
-    # the flag is analyze's only vertex guard: the 17-vertex affine cycle A~16
-    # (labels 3 around the cycle, explicit 2 elsewhere) passes with 20
+    # no option sets a guard: the 17-vertex affine cycle A~16 (labels 3
+    # around the cycle, explicit 2 elsewhere) is analyzed as it is
     names = [f"c{i}" for i in range(17)]
     lines = ["vertices: " + " ".join(names)]
     for i in range(17):
@@ -89,7 +84,7 @@ def test_analyze_max_vertices_flag(capsys, tmp_path):
             lines.append(f"edge {names[i]} {names[j]} {m}")
     cycle = tmp_path / "cycle.graph"
     cycle.write_text("\n".join(lines) + "\n")
-    code, env = run_json(capsys, "analyze", cycle, "--max-vertices", "20")
+    code, env = run_json(capsys, "analyze", cycle)
     assert code == 0
     assert [f["reason"] for f in env["result"]["factors"]] == ["EUCLIDEAN"]
 
@@ -469,11 +464,8 @@ def test_version_flag(capsys):
 MATCHED = [
     ["analyze", "edge3.graph"],
     ["analyze", "single_vertex.graph", "--json"],
-    ["analyze", "unknown_clique.graph", "--max-vertices", "3", "--json"],
-    ["analyze", "edge3.graph", "--max-vertices", "007"],
     ["analyze", "--dir", "DIR", "--json"],
     ["analyze", "--dir", "DIR"],
-    ["analyze", "edge3.graph", "--json", "--dir", "DIR", "--max-vertices", "16"],
     ["analyze", "missing.graph"],
     ["retract", "handtrace.graph", "s,t", "r s r^-1", "--json"],
     ["retract", "handtrace.graph", "s,t", "r s r^-1", "--json", "--trace"],
@@ -521,6 +513,10 @@ REFUSED = [
     ["analyze", "edge3.graph", "--max-vertices", "+5"],
     ["analyze", "edge3.graph", "--max-vertices", "1_0"],
     ["analyze", "edge3.graph", "--max-vertices", "\u0665"],
+    # the option is gone: a usage error, like any unknown option
+    ["analyze", "unknown_clique.graph", "--max-vertices", "3", "--json"],
+    ["analyze", "edge3.graph", "--max-vertices", "007"],
+    ["analyze", "edge3.graph", "--json", "--dir", "DIR", "--max-vertices", "16"],
     ["analyze", "edge3.graph", "--max-vertices", "-5"],
     ["analyze", "edge3.graph", "--max-vertices", "x"],
     ["analyze", "edge3.graph", "--max-vertices", ""],
@@ -671,7 +667,7 @@ def test_word_commands_past_the_field_guard_are_input_errors(capsys, tmp_path):
 )
 def test_kernel_commands_refuse_graphs_past_the_vertex_guard(capsys, tmp_path, argv):
     # a path with labels 3: its matrices would hold n^2 ints
-    n = MAX_KERNEL_VERTICES
+    n = MAX_VERTICES
     for count, expected in ((n, 0), (n + 1, 1)):
         names = [f"v{i}" for i in range(count)]
         graph = tmp_path / f"path{count}.graph"
@@ -681,6 +677,65 @@ def test_kernel_commands_refuse_graphs_past_the_vertex_guard(capsys, tmp_path, a
         assert code == expected
         if expected:
             assert (out, err) == ("", f"error: graph has {count} vertices; kernel guard is {n}\n")
+
+
+def _random_graph_text(rng, n):
+    names = [f"v{i}" for i in range(n)]
+    edges = "".join(
+        f"edge {u} {v} {rng.choice((2, 3, 4, 5, 'inf'))}\n" for u, v in combinations(names, 2)
+    )
+    return f"vertices: {' '.join(names)}\n{edges}"
+
+
+def test_guards_fail_as_one_line_input_errors(capsys, tmp_path):
+    # graphs at the vertex guard and at the clique budget: each run exits 0,
+    # 1 or 2, an error is one stderr line, and a second run repeats the bytes
+    rng = random.Random(59)
+    n = MAX_VERTICES
+    cases = []
+    for count in (n - 1, n, n + 1):
+        path = tmp_path / f"random{count}.graph"
+        path.write_text(_random_graph_text(rng, count))
+        cases.append((("analyze", path), 1 if count > n else None))
+        cases.append((("analyze", path, "--json"), 1 if count > n else None))
+    cases.append((("reduce", tmp_path / f"random{n + 1}.graph", "v0 v1 v0"), 1))
+    for layers, expected in ((7, 0), (8, 1)):
+        path = tmp_path / f"layered{3 * layers}.graph"
+        path.write_text(layered_fc_graph_text(layers))
+        cases.append((("analyze", path), expected))
+        cases.append((("analyze", path, "--json"), expected))
+    for argv, expected in cases:
+        first = run(capsys, *argv)
+        assert run(capsys, *argv) == first
+        code, out, err = first
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if expected is not None:
+            assert code == expected, argv
+        if code == 1:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err == ""
+    assert run(capsys, "analyze", tmp_path / f"random{n + 1}.graph")[2] == (
+        f"error: graph has {n + 1} vertices; guard is {n}\n"
+    )
+    assert run(capsys, "analyze", tmp_path / "layered24.graph")[2] == (
+        "error: FC-type test exceeds the 2187-maximal-clique guard\n"
+    )
+
+
+@pytest.mark.parametrize("dir_first", [False, True])
+def test_analyze_refuses_a_graph_and_a_directory_together(capsys, tmp_path, dir_first):
+    graph = tmp_path / "edge3.graph"
+    graph.write_text((DATA / "edge3.graph").read_text())
+    given = [str(graph), "--dir", str(tmp_path)]
+    argv = ["analyze", *(given[1:] + given[:1] if dir_first else given)]
+    assert cli._match(argv) is None
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("error: analyze needs a graph file or --dir, not both\n")
+    assert not list(tmp_path.glob("*.report.json"))
 
 
 def test_even_label_field_is_half_the_gram_field(capsys, tmp_path):

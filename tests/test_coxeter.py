@@ -25,7 +25,7 @@ from artincenter.coxeter import (
     theta,
 )
 from artincenter.graph import INF, make_graph, parse_graph
-from artincenter.scalar import cos_pi_over
+from artincenter.scalar import _context_for, cos_pi_over
 from artincenter.words import ArtinWord
 
 from helpers import (
@@ -449,6 +449,20 @@ def test_one_field_context_per_n():
         # odd non-crystallographic labels alone: the Gram form's N is the same
         assert gram_field(graphs[0]) is contexts[0]
         assert _neighbours(graphs[0])[0][0][1].ctx is contexts[0]
+
+
+def test_kernel_caches_stay_bounded_over_many_graphs():
+    # a command uses one entry of each cache; a library loop over 1,000
+    # graphs, and over fields of 74 orders N, keeps them at their bound
+    rng = random.Random(41)
+    for k in range(1000):
+        names = [f"v{k}_{i}" for i in range(3)]
+        m = rng.choice(range(5, 153, 2))
+        _neighbours(make_graph(names, [(names[0], names[1], m), (names[1], names[2], 3)]))
+    for cache in (_neighbours, _context_for):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.maxsize <= 8
+        assert info.currsize <= info.maxsize
 
 
 def _check_generator_updates(w, reflections):
