@@ -15,6 +15,19 @@ command line is parsed without argparse, which is loaded only for help,
 --version and usage errors.  JSON is written by ``_dumps``, byte for byte
 what json.dumps(obj, indent=2, sort_keys=True) gives, which loads json only
 to escape a string; text views load only for text output.
+
+A process exits through ``run``, the entry of the console script and of
+``python -m``: once ``main`` returns, it runs the atexit callbacks (those
+of ``site`` and ``sitecustomize`` included), flushes stdout and stderr and
+ends with os._exit.  That skips the interpreter's teardown, a full garbage
+collection and the clearing of every loaded module: about 9 ms of a 63 ms
+``python -c pass`` on a shared 2-core Xeon whose ``site`` loads a hundred
+modules (Python 3.11).  It falls back to sys.exit, and so to the teardown,
+when main raises (help, --version and usage errors among them), when a
+flush raises OSError (a closed pipe then still gives exit 120 and the
+interpreter's "Exception ignored" line), and under a profiler, a tracer or
+-i, whose report or prompt comes after the program.  ``main(argv)`` is
+what the tests and library callers run.
 """
 
 from __future__ import annotations
@@ -403,5 +416,31 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
 
 
+def _observed() -> bool:
+    """Whether a profiler, a tracer or -i waits to act after the program."""
+    monitoring = getattr(sys, "monitoring", None)  # 3.12+: cProfile uses it
+    return bool(
+        sys.getprofile() or sys.gettrace() or sys.flags.inspect
+        or (monitoring and any(monitoring.get_tool(i) for i in range(6)))
+    )
+
+
+def run() -> None:
+    """Run main on sys.argv and end the process with its exit code."""
+    code = main()
+    if not _observed():
+        import atexit
+
+        atexit._run_exitfuncs()
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except OSError:
+            pass  # the teardown flushes again and reports it
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

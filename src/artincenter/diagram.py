@@ -156,7 +156,12 @@ def _classify_diagram(g: DefiningGraph) -> tuple[DiagramType, ...]:
     return tuple(_classify_component(nbrs, comp) for comp in _components(nbrs))
 
 
-@lru_cache(maxsize=None)
+# Hits come from the center generator asking again about a spherical factor
+# and from small clique subgraphs that recur across the graphs of one
+# analyze --dir run.  Over certify-corpus seeds 1-4 (80 shards of 30 graphs,
+# a cache per shard) 64 entries keep all 1,801 hits of an unbounded cache,
+# 32 keep 1,761 and 16 keep 1,704; unbounded, the cache grew with the run.
+@lru_cache(maxsize=64)
 def is_spherical(g: DefiningGraph) -> bool:
     """True iff the Coxeter group is finite: every component of the Coxeter
     diagram is of spherical type."""

@@ -68,6 +68,9 @@ class DefiningGraph:
                     f"conflicting labels for ({vertices[i]}, {vertices[j]})"
                 )
             labels[(i, j)] = m
+        self._fill(vertices, index, labels)
+
+    def _fill(self, vertices, index, labels) -> None:
         # One stored form per graph, so equality and hashing ignore edge order
         # and repeated lines.
         object.__setattr__(self, "vertices", vertices)
@@ -131,14 +134,20 @@ class DefiningGraph:
 
     def induced(self, names: Iterable[str]) -> "DefiningGraph":
         """Subgraph induced on a vertex subset, declaration order preserved."""
+        # read off the subset's own k^2 pairs, not every edge, and skip the
+        # checks of __init__: this graph's labels already passed them
         keep = self.subset(names)
-        pos = {v: k for k, v in enumerate(keep)}
-        edges = tuple(
-            (pos[self.vertices[i]], pos[self.vertices[j]], m)
-            for i, j, m in self.edges
-            if self.vertices[i] in pos and self.vertices[j] in pos
-        )
-        return DefiningGraph(keep, edges)
+        old = [self._index[v] for v in keep]
+        get = self._labels.get
+        labels = {}
+        for a, i in enumerate(old):
+            for b in range(a + 1, len(old)):
+                m = get((i, old[b]))
+                if m is not None:
+                    labels[a, b] = m
+        sub = object.__new__(DefiningGraph)
+        sub._fill(keep, {v: k for k, v in enumerate(keep)}, labels)
+        return sub
 
     def cone_points(self) -> tuple[str, ...]:
         """Vertices adjacent (finite label) to every other vertex."""

@@ -444,6 +444,19 @@ def sign_by_intervals(value: Scalar) -> int:
     raise ArithmeticError(f"sign undecided at {INTERVAL_LADDER[-1]} bits")
 
 
+def reference_induced(g: DefiningGraph, names) -> DefiningGraph:
+    """The induced subgraph by a scan of every edge of g, each kept edge
+    renumbered and the result validated by DefiningGraph's constructor."""
+    keep = g.subset(names)
+    pos = {v: k for k, v in enumerate(keep)}
+    edges = tuple(
+        (pos[g.vertices[i]], pos[g.vertices[j]], m)
+        for i, j, m in g.edges
+        if g.vertices[i] in pos and g.vertices[j] in pos
+    )
+    return DefiningGraph(keep, edges)
+
+
 def fc_by_subsets(g: DefiningGraph) -> bool:
     """Every vertex subset that is a clique induces a spherical subgraph."""
     for size in range(2, len(g.vertices) + 1):

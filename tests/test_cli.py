@@ -994,3 +994,117 @@ def test_package_never_imports_mpmath():
     # mpmath is a test dependency only: the interval oracle in helpers.py
     for path in (pathlib.Path(__file__).parent.parent / "src" / "artincenter").glob("*.py"):
         assert "mpmath" not in path.read_text(), path
+
+
+# -- process exit -------------------------------------------------------------
+
+SRC = str(pathlib.Path(__file__).parent.parent / "src")
+# the process entry, which ends without the interpreter's teardown, and main
+# under sys.exit, which goes through it: they must agree byte for byte
+ENTRY = ("-m", "artincenter.cli")
+SYS_EXIT_MAIN = ("-c", "import sys; from artincenter.cli import main; sys.exit(main())")
+CORPUS = ("edge3", "single_vertex", "triangle333", "unknown_clique")
+CARTAN_WORD = "c a d b a"
+
+COMMAND_CASES = [
+    (("analyze", "edge3.graph"), 0),
+    (("analyze", "unknown_clique.graph"), 2),
+    (("analyze", "missing.graph"), 1),
+    (("analyze", "bad.graph"), 1),
+    (("analyze", "--dir", "corpus"), 2),
+    (("analyze", "--dir", "broken"), 1),
+    (("analyze", "--dir", "empty"), 1),
+    (("retract", "handtrace.graph", "s,t", "r s r^-1 t r s"), 0),
+    (("retract", "handtrace.graph", "s,t", "r s r^-1 t r s", "--trace"), 0),
+    (("retract", "handtrace.graph", "s,z", "r s"), 1),
+    (("reduce", CARTAN, CARTAN_WORD), 0),
+    (("reduce", "edge3.graph", "s x"), 1),
+    (("coset", CARTAN, "a,c", CARTAN_WORD), 0),
+    (("split", CARTAN, "a", "d"), 0),
+    (("split", CARTAN, "a", "c"), 1),  # label(a, c) is finite
+    (("word", "handtrace.graph", "r s r^-1 t r s"), 0),
+    (("dihedral", "edge3.graph", "s t^-1 s"), 0),
+    (("dihedral", "edge3.graph", "s t s", "t s t"), 0),
+    (("dihedral", "edgeinf.graph", "s t t^-1 s"), 0),
+    (("dihedral", CARTAN, "a"), 1),
+]
+# argparse's exits, then every command case in text and under --json
+EXIT_CASES = [
+    ((), 2),  # no command
+    (("reduce", "edge3.graph"), 2),  # a missing positional
+    (("--help",), 0),
+    (("retract", "--help"), 0),
+    (("--version",), 0),
+] + COMMAND_CASES + [(argv + ("--json",), code) for argv, code in COMMAND_CASES]
+
+
+def _exit_workdir(path: pathlib.Path) -> pathlib.Path:
+    path.mkdir()
+    for graph in DATA.glob("*.graph"):
+        shutil.copy(graph, path)
+    (path / "bad.graph").write_text("vertices: a a\n")
+    for name, graphs in (("corpus", CORPUS), ("broken", CORPUS + ("bad",))):
+        (path / name).mkdir()
+        for graph in graphs:
+            shutil.copy(path / f"{graph}.graph", path / name)
+    (path / "empty").mkdir()
+    return path
+
+
+def _run_entry(entry, argv, cwd, path=(), stdout=subprocess.PIPE):
+    # stdout buffered, as a pipe has it by default, so that the output waits
+    # for the final flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([*map(str, path), SRC])
+    return subprocess.run([sys.executable, *entry, *argv], cwd=cwd, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=60)
+
+
+def _reports(path: pathlib.Path) -> dict[str, bytes]:
+    return {str(p.relative_to(path)): p.read_bytes() for p in sorted(path.rglob("*.report.json"))}
+
+
+@pytest.mark.parametrize("argv, code", EXIT_CASES, ids=[" ".join(a) or "no-args" for a, _ in EXIT_CASES])
+def test_process_entry_matches_main_under_sys_exit(tmp_path, argv, code):
+    runs = []
+    for entry in (ENTRY, SYS_EXIT_MAIN):
+        cwd = _exit_workdir(tmp_path / str(len(runs)))
+        done = _run_entry(entry, argv, cwd)
+        runs.append((done.returncode, done.stdout, done.stderr, _reports(cwd)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code
+    assert bool(runs[0][3]) == (argv[:2] == ("analyze", "--dir") and argv[2] != "empty")
+
+
+def test_process_entry_reports_a_closed_stdout_as_the_teardown_does(tmp_path):
+    # the final flush fails on a pipe with no reader, and the interpreter's
+    # teardown reports that as exit 120 with its "Exception ignored" line
+    results = []
+    for entry in (ENTRY, SYS_EXIT_MAIN):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = _run_entry(entry, ["dihedral", DATA / "edge3.graph", "s t s"], tmp_path, (), write)
+        finally:
+            os.close(write)
+        results.append((done.returncode, done.stderr))
+    assert results[0] == results[1]
+    assert results[0][0] == 120 and b"BrokenPipeError" in results[0][1]
+
+
+def test_process_entry_leaves_the_profile_report(tmp_path):
+    done = _run_entry(("-m", "cProfile", *ENTRY), ["dihedral", DATA / "edge3.graph", "s t s"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(b"normal form: delta^1 . 1\n")
+    assert b"function calls" in done.stdout
+
+
+def test_process_entry_runs_the_atexit_callbacks_of_sitecustomize(tmp_path):
+    marker = tmp_path / "marker"
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit\n"
+        f"atexit.register(lambda: open({str(marker)!r}, 'w').write('ran'))\n"
+    )
+    done = _run_entry(ENTRY, ["dihedral", DATA / "edge3.graph", "s t s"], tmp_path, [tmp_path])
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert marker.read_text() == "ran"

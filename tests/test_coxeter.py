@@ -452,16 +452,19 @@ def test_one_field_context_per_n():
 
 
 def test_kernel_caches_stay_bounded_over_many_graphs():
-    # a command uses one entry of each cache; a library loop over 1,000
-    # graphs, and over fields of 74 orders N, keeps them at their bound
+    # a command uses one entry of each kernel cache, and analyze --dir reuses
+    # a few dozen is_spherical answers; a library loop over 1,000 graphs, and
+    # over fields of 74 orders N, keeps each cache at its bound
     rng = random.Random(41)
     for k in range(1000):
         names = [f"v{k}_{i}" for i in range(3)]
         m = rng.choice(range(5, 153, 2))
-        _neighbours(make_graph(names, [(names[0], names[1], m), (names[1], names[2], 3)]))
-    for cache in (_neighbours, _context_for):
+        g = make_graph(names, [(names[0], names[1], m), (names[1], names[2], 3)])
+        _neighbours(g)
+        is_spherical(g)
+    for cache, bound in ((_neighbours, 8), (_context_for, 8), (is_spherical, 64)):
         info = cache.cache_info()
-        assert info.maxsize is not None and info.maxsize <= 8
+        assert info.maxsize is not None and info.maxsize <= bound
         assert info.currsize <= info.maxsize
 
 

@@ -16,7 +16,7 @@ from artincenter.graph import (
     parse_graph,
 )
 
-from helpers import NAME_RE
+from helpers import NAME_RE, random_graph, reference_induced
 
 
 def test_parse_basic():
@@ -208,6 +208,21 @@ def test_induced():
     assert path.induced([]).vertices == ()
     with pytest.raises(ValueError):
         path.induced(["a", "z"])
+
+
+def test_induced_matches_the_edge_scan_oracle():
+    # induced reads the subset's own pairs and skips validation; every stored
+    # table must still be what the constructor builds from the scanned edges
+    rng = random.Random(61)
+    for _ in range(300):
+        g = random_graph(rng, rng.randrange(0, 9), (2, 3, 4, 5, 7, INF))
+        names = [v for v in g.vertices if rng.random() < 0.6] * rng.randrange(1, 3)
+        rng.shuffle(names)
+        sub, ref = g.induced(names), reference_induced(g, names)
+        assert (sub.vertices, sub.edges, sub._index, sub._labels) == (
+            ref.vertices, ref.edges, ref._index, ref._labels)
+        assert sub == ref and hash(sub) == hash(ref) and repr(sub) == repr(ref)
+        assert pickle.loads(pickle.dumps(sub)) == sub
 
 
 def test_induced_preserves_declaration_order():
