@@ -23,7 +23,7 @@ replayable record of the predicates that justified it.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .diagram import _classify_diagram, is_affine, is_spherical
 from .graph import MAX_VERTICES, DefiningGraph
@@ -157,6 +157,28 @@ def is_two_dimensional(g: DefiningGraph) -> bool:
     return True
 
 
+def _maximal_cliques(g: DefiningGraph) -> Iterator[tuple[str, ...]]:
+    """Every maximal set of pairwise adjacent vertices, each in declaration
+    order.  The pivoting Bron-Kerbosch search runs in declaration order, so
+    the graph alone fixes the order in which cliques come."""
+    adjacent: list[set[int]] = [set() for _ in g.vertices]
+    for i, j, _ in g.edges:
+        adjacent[i].add(j)
+        adjacent[j].add(i)
+
+    def extend(clique, candidates, excluded):
+        if not candidates and not excluded:
+            yield tuple(g.vertices[i] for i in sorted(clique))
+            return
+        pivot = max(sorted(candidates | excluded), key=lambda u: len(candidates & adjacent[u]))
+        for v in sorted(candidates - adjacent[pivot]):
+            yield from extend(clique + (v,), candidates & adjacent[v], excluded & adjacent[v])
+            candidates = candidates - {v}
+            excluded = excluded | {v}
+
+    return extend((), set(range(len(g.vertices))), set())
+
+
 def is_fc_type(g: DefiningGraph) -> bool:
     """True iff every clique induces a spherical subgraph.
 
@@ -164,7 +186,7 @@ def is_fc_type(g: DefiningGraph) -> bool:
     so it is enough to check maximal cliques.  There can be 3^(n/3) of them
     (Moon-Moser), so the test is refused past MAX_CLIQUES.
     """
-    for count, clique in enumerate(g.maximal_cliques(), start=1):
+    for count, clique in enumerate(_maximal_cliques(g), start=1):
         if count > MAX_CLIQUES:
             raise ValueError(f"FC-type test exceeds the {MAX_CLIQUES}-maximal-clique guard")
         if not is_spherical(g.induced(clique)):

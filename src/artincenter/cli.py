@@ -5,8 +5,10 @@ prints the stable envelope {command, version, input, result}; otherwise it
 prints the text view of that result (in ``text``), so text and JSON agree by
 construction.  The analyze command's exit code triages corpora: 0 when the
 center is certified, 2 when any factor is inconclusive, 1 on input errors.
-analyze takes a graph file or --dir, not both.  No option moves a limit:
-graph.MAX_VERTICES and analyzer.MAX_CLIQUES are constants.
+Every command exits 120, with no error line, when stdout has no reader, as
+the interpreter does when its last flush fails.  analyze takes a graph file
+or --dir, not both; only --dir loads its loop, in ``corpus``.  No option
+moves a limit: graph.MAX_VERTICES and analyzer.MAX_CLIQUES are constants.
 
 Each command imports the layer it works in when it runs: analyze, split and
 dihedral never load the field arithmetic, only analyze loads the analyzer,
@@ -43,6 +45,7 @@ from .words import MAX_LETTERS, abelianize, parse_word
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNKNOWN = 2
+EXIT_BROKEN_PIPE = 120
 
 
 def _sha256(data: bytes) -> str:
@@ -125,51 +128,9 @@ def _analyze_one(path: str) -> tuple[dict, dict, int]:
 
 def cmd_analyze(args) -> int:
     if args.dir:
-        # only a directory run lists files and writes reports, in JSON
-        import tempfile
-        from pathlib import Path
+        from .corpus import analyze_dir
 
-        paths = sorted(str(p) for p in Path(args.dir).iterdir() if p.suffix == ".graph")
-        if not paths:
-            print(f"no .graph files in {args.dir}", file=sys.stderr)
-            return EXIT_ERROR
-        # mkstemp makes files 0600; reports get what open(path, "w") gives
-        umask = os.umask(0)
-        os.umask(umask)
-        worst = EXIT_OK
-        saw_error = False
-        summary = []
-        for path in paths:
-            try:
-                info, result, code = _analyze_one(path)
-                out = Path(path).with_suffix(".report.json")
-                text = _dumps(_envelope("analyze", info, result))
-                fd, tmp = tempfile.mkstemp(dir=str(out.parent), suffix=".tmp")
-                try:
-                    with os.fdopen(fd, "w") as fh:
-                        fh.write(text)
-                    os.chmod(tmp, 0o666 & ~umask)
-                    os.replace(tmp, out)
-                except OSError as exc:
-                    raise OSError(f"cannot write {out}: {exc.strerror or exc}") from None
-                finally:
-                    if os.path.lexists(tmp):
-                        os.unlink(tmp)
-            except Exception as exc:  # one bad file must not stop the batch
-                saw_error = True
-                print(f"{path}: error: {exc}", file=sys.stderr)
-                summary.append({"path": path, "error": str(exc)})
-                continue
-            worst = max(worst, code)
-            established = result["established"]
-            rank = result["center_rank"]
-            summary.append({"path": path, "established": established, "center_rank": rank})
-            if not args.json:
-                status = "established" if established else "unknown"
-                print(f"{path}: {status}, center rank {rank}")
-        if args.json:
-            print(_dumps(summary))
-        return EXIT_ERROR if saw_error else worst
+        return analyze_dir(args.dir, args.json, _analyze_one, _dumps, _envelope)
 
     info, result, code = _analyze_one(args.graph)
     _emit(args, "analyze", info, result)
@@ -185,21 +146,11 @@ def cmd_retract(args) -> int:
     g, info = _load_graph(args.graph)
     subset = g.subset(_split_subset(args.subset))
     word = parse_word(args.word, g)
-    trace = retract_trace(g, subset, word) if args.trace else None
-    output = retract(g, subset, word) if trace is None else trace.output
-    result = {"subset": list(subset), "word": args.word, "output": output.to_text()}
-    if trace is not None:
-        result["trace"] = [
-            {
-                "position": s.position,
-                "letter": [s.vertex, s.exponent],
-                "subgroup_part": list(s.subgroup_part.reduced_word()),
-                "reduced_part": list(s.reduced_part.reduced_word()),
-                "reflection": list(s.reflection.reduced_word()),
-                "emitted": list(s.emitted) if s.emitted else None,
-            }
-            for s in trace.steps
-        ]
+    result = {"subset": list(subset), "word": args.word}
+    if args.trace:
+        result.update(retract_trace(g, subset, word).to_dict())
+    else:
+        result["output"] = retract(g, subset, word).to_text()
     _emit(args, "retract", info, result)
     return EXIT_OK
 
@@ -411,6 +362,10 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("analyze needs a graph file or --dir" + (", not both" if args.dir else ""))
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # stdout has no reader, which is no fault of the input: no error
+        # line, and the exit code the interpreter gives when it cannot flush
+        return EXIT_BROKEN_PIPE
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

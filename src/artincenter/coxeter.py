@@ -262,12 +262,6 @@ class CoxeterElement:
     def length(self) -> int:
         return len(self.reduced_word())
 
-    def is_reduced_for(self, subset: Iterable[str]) -> bool:
-        """True iff the element is the minimal-length representative of its
-        left coset under the standard subgroup on the subset (no left descent
-        lies in the subset)."""
-        return not any(self.has_left_descent(v) for v in self.graph.subset(subset))
-
     def match_simple_reflection(self, subset: Iterable[str]) -> str | None:
         """The unique vertex in the subset whose generator equals this element,
         or None.  Distinct generators have distinct matrices."""

@@ -1,4 +1,4 @@
-"""Exact equality and centers in rank-2 Artin groups.
+"""Normal forms and exact equality in rank-2 Artin groups.
 
 For a finite label m the group is spherical and carries a Garside structure:
 every element is uniquely delta^k f_1 ... f_p where delta is the alternating
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
-from .words import MAX_LETTERS, ArtinWord
+from .words import ArtinWord
 
 # A simple element: (start, k), the alternating word of k letters beginning
 # with the generator indexed by start in {0, 1}.  Factors have 1 <= k < m.
@@ -82,30 +82,6 @@ class GarsideNormalForm(NamedTuple):
     delta_power: int
     factors: tuple[Simple, ...]
 
-    def is_trivial(self) -> bool:
-        return self.delta_power == 0 and not self.factors
-
-    def _simple_word(self, x: Simple) -> list[tuple[str, int]]:
-        start, k = x
-        return [(self.gens[(start + i) % 2], 1) for i in range(k)]
-
-    def to_word(self) -> ArtinWord:
-        """A word spelling the element: delta power then the factors.  The
-        letter guard is checked before any letter is spelled."""
-        size = abs(self.delta_power) * self.m + sum(k for _, k in self.factors)
-        if size > MAX_LETTERS:
-            raise ValueError(f"word exceeds the {MAX_LETTERS}-letter guard")
-        delta = self._simple_word((0, self.m))
-        letters: list[tuple[str, int]] = []
-        if self.delta_power >= 0:
-            letters.extend(delta * self.delta_power)
-        else:
-            inv = [(v, -1) for v, _ in reversed(delta)]
-            letters.extend(inv * (-self.delta_power))
-        for f in self.factors:
-            letters.extend(self._simple_word(f))
-        return ArtinWord(tuple(letters))
-
     def __repr__(self):
         names = ["".join(self.gens[(s + i) % 2] for i in range(k)) for s, k in self.factors]
         return f"GarsideNormalForm(delta^{self.delta_power}; {' . '.join(names) or '1'})"
@@ -141,14 +117,3 @@ def dihedral_equal(
                 raise ValueError(f"word uses letters outside {gens}")
         return free_reduce(a) == free_reduce(b)
     return garside_nf(m, a, gens) == garside_nf(m, b, gens)
-
-
-def dihedral_center_generator(m: int, gens: tuple[str, str] = ("s", "t")) -> ArtinWord:
-    """Generator of the center: (st)^(m/2) = delta for even m, (st)^m = delta^2
-    for odd m.  The infinite dihedral Artin group has trivial center."""
-    if m == math.inf:
-        raise ValueError("the label-infinity rank-2 Artin group has trivial center")
-    _validate(m, gens)
-    s, t = gens
-    reps = m // 2 if m % 2 == 0 else m
-    return ArtinWord(((s, 1), (t, 1))) ** reps

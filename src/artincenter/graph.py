@@ -15,7 +15,7 @@ that commands which never classify a graph never load it.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 INF = float("inf")
 
@@ -127,9 +127,6 @@ class DefiningGraph:
         seen = {self.index(v) for v in names}
         return tuple(v for i, v in enumerate(self.vertices) if i in seen)
 
-    def adjacent(self, u: str, v: str) -> bool:
-        return self.label(u, v) != INF
-
     # -- derived graphs --------------------------------------------------
 
     def induced(self, names: Iterable[str]) -> "DefiningGraph":
@@ -162,27 +159,6 @@ class DefiningGraph:
         n = len(self.vertices)
         return len(self._labels) == n * (n - 1) // 2
 
-    def maximal_cliques(self) -> Iterator[tuple[str, ...]]:
-        """Every maximal set of pairwise adjacent vertices, each in declaration
-        order.  The pivoting Bron-Kerbosch search runs in declaration order, so
-        the graph alone fixes the order in which cliques come."""
-        adjacent: list[set[int]] = [set() for _ in self.vertices]
-        for i, j, _ in self.edges:
-            adjacent[i].add(j)
-            adjacent[j].add(i)
-
-        def extend(clique, candidates, excluded):
-            if not candidates and not excluded:
-                yield tuple(self.vertices[i] for i in sorted(clique))
-                return
-            pivot = max(sorted(candidates | excluded), key=lambda u: len(candidates & adjacent[u]))
-            for v in sorted(candidates - adjacent[pivot]):
-                yield from extend(clique + (v,), candidates & adjacent[v], excluded & adjacent[v])
-                candidates = candidates - {v}
-                excluded = excluded | {v}
-
-        return extend((), set(range(len(self.vertices))), set())
-
     def join_factors(self) -> list["DefiningGraph"]:
         """Maximal decomposition as a join with all cross labels equal to 2.
 
@@ -211,14 +187,6 @@ class DefiningGraph:
             self.induced(rest),
             self.induced(rest + [x]),
         )
-
-    # -- serialization ---------------------------------------------------
-
-    def to_text(self) -> str:
-        lines = ["vertices: " + " ".join(self.vertices)]
-        for i, j, m in self.edges:
-            lines.append(f"edge {self.vertices[i]} {self.vertices[j]} {m}")
-        return "\n".join(lines) + "\n"
 
 
 def make_graph(

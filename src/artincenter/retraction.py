@@ -61,6 +61,23 @@ class RetractionTrace(NamedTuple):
     steps: tuple[RetractionStep, ...]
     output: ArtinWord
 
+    def to_dict(self) -> dict:
+        """The output and the audit, each element as its reduced word."""
+        return {
+            "output": self.output.to_text(),
+            "trace": [
+                {
+                    "position": s.position,
+                    "letter": [s.vertex, s.exponent],
+                    "subgroup_part": list(s.subgroup_part.reduced_word()),
+                    "reduced_part": list(s.reduced_part.reduced_word()),
+                    "reflection": list(s.reflection.reduced_word()),
+                    "emitted": list(s.emitted) if s.emitted else None,
+                }
+                for s in self.steps
+            ],
+        }
+
 
 def _survivor(mat: Matrix, s: int, targets: dict[int, str]) -> str | None:
     """The column test: the x with w(alpha_s) on the line of alpha_x, read

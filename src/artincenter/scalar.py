@@ -658,22 +658,6 @@ class Scalar:
             f"sign of nonzero scalar undecided at {_SIGN_LADDER[-1]} bits"
         )
 
-    def __float__(self) -> float:
-        if not self.is_real:
-            raise ValueError("float value is defined for real scalars only")
-        angle = math.pi / self.ctx.N
-        total = sum(c * math.cos(j * angle) for j, c in enumerate(self.nums) if c)
-        return total / self.den
-
-    def complex_value(self) -> complex:
-        angle = math.pi / self.ctx.N
-        total = sum(
-            c * complex(math.cos(j * angle), math.sin(j * angle))
-            for j, c in enumerate(self.nums)
-            if c
-        )
-        return total / self.den
-
     def __repr__(self) -> str:
         if self.is_rational():
             q = self.nums[0] if self.den == 1 else f"{self.nums[0]}/{self.den}"

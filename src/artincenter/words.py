@@ -77,12 +77,6 @@ class ArtinWord:
     def support(self) -> frozenset[str]:
         return frozenset(v for v, _ in self.letters)
 
-    def rotated(self, start: int) -> "ArtinWord":
-        """Cyclic permutation beginning at the given letter index."""
-        if not 0 <= start <= len(self.letters):
-            raise IndexError(f"rotation index {start} out of range")
-        return ArtinWord(self.letters[start:] + self.letters[:start])
-
     def to_text(self) -> str:
         """Serialize, re-compressing runs of one letter into v^k form."""
         parts: list[str] = []

@@ -21,6 +21,12 @@ sums, rank-2 Garside normal forms by fixed-point combing of a
 simple-factor list, the command line by the hand-written argparse parser,
 vertex names and word tokens by regular expressions, and JSON output by
 json.dumps.
+
+It also holds the definitions that only the tests call, kept off the
+modules every command compiles: a graph's file text, adjacency, cyclic
+rotation of a word, the coset-minimality test, float and complex values of
+field elements, spelling a rank-2 normal form, and the rank-2 center
+generator.
 """
 
 from __future__ import annotations
@@ -50,11 +56,93 @@ from artincenter.coxeter import (
     theta,
 )
 from artincenter.diagram import is_spherical
-from artincenter.dihedral import dihedral_equal
+from artincenter.dihedral import GarsideNormalForm, _validate, dihedral_equal
 from artincenter.retraction import retract, retract_trace
 from artincenter.graph import INF, DefiningGraph, make_graph
 from artincenter.scalar import FieldContext, Scalar, cos_pi_over
 from artincenter.words import MAX_LETTERS, ArtinWord, WordSyntaxError, abelianize
+
+
+def graph_to_text(g: DefiningGraph) -> str:
+    """The graph in the file format that parse_graph reads."""
+    lines = ["vertices: " + " ".join(g.vertices)]
+    for i, j, m in g.edges:
+        lines.append(f"edge {g.vertices[i]} {g.vertices[j]} {m}")
+    return "\n".join(lines) + "\n"
+
+
+def adjacent(g: DefiningGraph, u: str, v: str) -> bool:
+    return g.label(u, v) != INF
+
+
+def rotated(w: ArtinWord, start: int) -> ArtinWord:
+    """Cyclic permutation beginning at the given letter index."""
+    if not 0 <= start <= len(w.letters):
+        raise IndexError(f"rotation index {start} out of range")
+    return ArtinWord(w.letters[start:] + w.letters[:start])
+
+
+def is_reduced_for(w: CoxeterElement, subset) -> bool:
+    """True iff the element is the minimal-length representative of its left
+    coset under the standard subgroup on the subset (no left descent lies in
+    the subset)."""
+    return not any(w.has_left_descent(v) for v in w.graph.subset(subset))
+
+
+def float_value(x: Scalar | int) -> float:
+    """The real value of a field element, or of a kernel integer."""
+    if isinstance(x, int):
+        return float(x)
+    if not x.is_real:
+        raise ValueError("float value is defined for real scalars only")
+    angle = math.pi / x.ctx.N
+    total = sum(c * math.cos(j * angle) for j, c in enumerate(x.nums) if c)
+    return total / x.den
+
+
+def complex_value(x: Scalar) -> complex:
+    angle = math.pi / x.ctx.N
+    total = sum(
+        c * complex(math.cos(j * angle), math.sin(j * angle)) for j, c in enumerate(x.nums) if c
+    )
+    return total / x.den
+
+
+def nf_is_trivial(nf: GarsideNormalForm) -> bool:
+    return nf.delta_power == 0 and not nf.factors
+
+
+def nf_to_word(nf: GarsideNormalForm) -> ArtinWord:
+    """A word spelling the element: delta power then the factors.  The letter
+    guard is checked before any letter is spelled."""
+    size = abs(nf.delta_power) * nf.m + sum(k for _, k in nf.factors)
+    if size > MAX_LETTERS:
+        raise ValueError(f"word exceeds the {MAX_LETTERS}-letter guard")
+
+    def simple_word(start: int, k: int) -> list[tuple[str, int]]:
+        return [(nf.gens[(start + i) % 2], 1) for i in range(k)]
+
+    delta = simple_word(0, nf.m)
+    letters: list[tuple[str, int]] = []
+    if nf.delta_power >= 0:
+        letters.extend(delta * nf.delta_power)
+    else:
+        inv = [(v, -1) for v, _ in reversed(delta)]
+        letters.extend(inv * (-nf.delta_power))
+    for start, k in nf.factors:
+        letters.extend(simple_word(start, k))
+    return ArtinWord(tuple(letters))
+
+
+def dihedral_center_generator(m: int, gens: tuple[str, str] = ("s", "t")) -> ArtinWord:
+    """Generator of the center: (st)^(m/2) = delta for even m, (st)^m = delta^2
+    for odd m.  The infinite dihedral Artin group has trivial center."""
+    if m == math.inf:
+        raise ValueError("the label-infinity rank-2 Artin group has trivial center")
+    _validate(m, gens)
+    s, t = gens
+    reps = m // 2 if m % 2 == 0 else m
+    return ArtinWord(((s, 1), (t, 1))) ** reps
 
 
 def bfs_enumerate(g: DefiningGraph, limit: int = 10000) -> dict[CoxeterElement, int]:
@@ -461,7 +549,7 @@ def fc_by_subsets(g: DefiningGraph) -> bool:
     """Every vertex subset that is a clique induces a spherical subgraph."""
     for size in range(2, len(g.vertices) + 1):
         for subset in combinations(g.vertices, size):
-            if all(g.adjacent(u, v) for u, v in combinations(subset, 2)):
+            if all(adjacent(g, u, v) for u, v in combinations(subset, 2)):
                 if not spherical_by_minors(g.induced(subset)):
                     return False
     return True

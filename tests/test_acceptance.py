@@ -18,14 +18,16 @@ from artincenter.coxeter import (
     simple_reflection,
     theta,
 )
-from artincenter.dihedral import dihedral_center_generator, dihedral_equal
+from artincenter.dihedral import dihedral_equal
 from artincenter.graph import INF, make_graph
 from artincenter.retraction import retract, retract_trace
 from artincenter.words import ArtinWord, parse_word
 
 from helpers import (
     bfs_enumerate,
+    dihedral_center_generator,
     expected_finite_order,
+    is_reduced_for,
     random_cone_free_graph,
     random_pure_word,
     random_single_cone_graph,
@@ -91,7 +93,7 @@ def test_criterion_2_coset_lemma_suite():
         for _ in range(trials_per_fixture):
             w = theta(g, random_word(rng, g, rng.randrange(0, 7)))
             x_set = random_subset(rng, g)
-            reduced = w.is_reduced_for(x_set)
+            reduced = is_reduced_for(w, x_set)
             longer = all(
                 (simple_reflection(g, v) * w).length() > w.length() for v in x_set
             )
@@ -114,7 +116,7 @@ def test_criterion_2_coset_lemma_suite():
             dec = coset_decompose(u, x_set)
             if dec.subgroup_part * dec.reduced_part != u:
                 failures.append(("product", g.vertices))
-            if not dec.reduced_part.is_reduced_for(x_set):
+            if not is_reduced_for(dec.reduced_part, x_set):
                 failures.append(("reduced", g.vertices))
             noise = theta(
                 g,

@@ -10,19 +10,21 @@ from artincenter.analyzer import (
     SPHERICAL,
     UNKNOWN,
     _BASE_CLASS_RULES,
+    _maximal_cliques,
     establish,
     is_fc_type,
     is_two_dimensional,
     spherical_center_generator,
 )
 from artincenter.coxeter import is_affine, is_spherical
-from artincenter.dihedral import dihedral_center_generator, dihedral_equal
+from artincenter.dihedral import dihedral_equal
 from artincenter.graph import INF, MAX_VERTICES, make_graph, parse_graph
 from artincenter.scalar import _context_for
 from artincenter.text import _render_analysis
 
 from helpers import (
     all_graphs,
+    dihedral_center_generator,
     diagram_graph,
     fc_by_subsets,
     layered_fc_graph_text,
@@ -194,7 +196,7 @@ def test_fc_type_clique_budget():
     small = parse_graph(layered_fc_graph_text(3))
     assert is_fc_type(small) and fc_by_subsets(small)
     g = parse_graph(layered_fc_graph_text(7))
-    assert sum(1 for _ in g.maximal_cliques()) == MAX_CLIQUES
+    assert sum(1 for _ in _maximal_cliques(g)) == MAX_CLIQUES
     assert [f.reason for f in establish(g).factors] == ["FC_TYPE"]
     g = parse_graph(layered_fc_graph_text(8))
     assert not is_two_dimensional(g) and not is_affine(g)

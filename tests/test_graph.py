@@ -7,6 +7,7 @@ import re
 import pytest
 
 from artincenter import graph
+from artincenter.analyzer import _maximal_cliques
 from artincenter.coxeter import simple_reflection
 from artincenter.graph import (
     INF,
@@ -16,7 +17,7 @@ from artincenter.graph import (
     parse_graph,
 )
 
-from helpers import NAME_RE, random_graph, reference_induced
+from helpers import NAME_RE, graph_to_text, random_graph, reference_induced
 
 
 def test_parse_basic():
@@ -35,7 +36,7 @@ def test_explicit_inf_normalizes_to_absence():
     g = parse_graph("vertices: a b\nedge a b inf\n")
     assert g.label("a", "b") == INF
     assert g.edges == ()
-    assert g.to_text() == parse_graph("vertices: a b\n").to_text()
+    assert graph_to_text(g) == graph_to_text(parse_graph("vertices: a b\n"))
 
 
 def test_comments_and_blank_lines():
@@ -96,8 +97,8 @@ def test_duplicate_identical_edge_is_idempotent():
 def test_serialize_round_trip():
     text = "vertices: c a b\nedge a b 3\nedge c a 5\n"
     g = parse_graph(text)
-    once = g.to_text()
-    again = parse_graph(once).to_text()
+    once = graph_to_text(g)
+    again = graph_to_text(parse_graph(once))
     assert once == again
     assert once.splitlines()[0] == "vertices: c a b"
 
@@ -105,7 +106,7 @@ def test_serialize_round_trip():
 def test_every_data_graph_round_trips_through_text(data_dir):
     for path in sorted(data_dir.glob("*.graph")):
         g = parse_graph(path.read_text())
-        assert parse_graph(g.to_text()) == g, path.name
+        assert parse_graph(graph_to_text(g)) == g, path.name
 
 
 @pytest.mark.parametrize("name", ["a\n", "a\r", "\na", "a b", ""])
@@ -255,8 +256,21 @@ def test_maximal_cliques_match_subset_search():
             if g.induced(c).is_clique()
         ]
         maximal = {c for c in cliques if not any(set(c) < set(d) for d in cliques)}
-        found = list(g.maximal_cliques())
+        found = list(_maximal_cliques(g))
         assert len(found) == len(set(found)) and set(found) == maximal
+
+
+def test_maximal_cliques_come_in_a_fixed_order():
+    # the order the search gave as DefiningGraph.maximal_cliques, before it
+    # moved into the analyzer
+    g = make_graph(
+        list("abcdef"),
+        [("a", "b", 2), ("a", "c", 3), ("b", "c", 2), ("c", "d", 2), ("d", "e", 3),
+         ("e", "f", 2), ("d", "f", 2), ("b", "e", 2), ("a", "f", 3)],
+    )
+    assert list(_maximal_cliques(g)) == [
+        ("a", "b", "c"), ("a", "f"), ("c", "d"), ("d", "e", "f"), ("b", "e")
+    ]
 
 
 def test_amalgam_split():

@@ -7,6 +7,7 @@ from artincenter.retraction import retract, retract_trace
 from artincenter.words import ArtinWord, parse_word
 
 from helpers import (
+    is_reduced_for,
     random_graph,
     random_pure_word,
     random_subset,
@@ -166,7 +167,7 @@ def test_trace_internal_consistency():
                 assert step.reduced_part == dec.reduced_part
                 assert step.subgroup_part * step.reduced_part == prefix
                 assert set(step.subgroup_part.reduced_word()) <= set(x_set)
-                assert step.reduced_part.is_reduced_for(x_set)
+                assert is_reduced_for(step.reduced_part, x_set)
                 conj = prev_reduced if e == 1 else step.reduced_part
                 assert step.reflection == conj * refl * conj.inverse()
                 witness = step.reflection.match_simple_reflection(x_set)

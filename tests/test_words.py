@@ -10,7 +10,7 @@ from artincenter.coxeter import theta
 from artincenter.graph import make_graph
 from artincenter.words import ArtinWord, WordSyntaxError, abelianize, is_pure, parse_word
 
-from helpers import random_word, reference_parse_word
+from helpers import random_word, reference_parse_word, rotated
 
 G = make_graph(["s", "t", "u"], [("s", "t", 3), ("t", "u", 2)])
 
@@ -164,14 +164,14 @@ def test_is_pure_examples():
 
 def test_rotation():
     w = parse_word("s t u", G)
-    assert w.rotated(1).to_text() == "t u s"
-    assert w.rotated(0) == w
-    assert w.rotated(3) == w
-    assert ArtinWord().rotated(0) == ArtinWord()
+    assert rotated(w, 1).to_text() == "t u s"
+    assert rotated(w, 0) == w
+    assert rotated(w, 3) == w
+    assert rotated(ArtinWord(), 0) == ArtinWord()
     with pytest.raises(IndexError):
-        w.rotated(4)
+        rotated(w, 4)
     with pytest.raises(IndexError):
-        w.rotated(-1)
+        rotated(w, -1)
 
 
 def test_concatenation_properties():
@@ -196,8 +196,8 @@ def test_rotation_conjugacy():
         k = rng.randrange(0, len(w) + 1)
         prefix = ArtinWord(w.letters[:k])
         conj = theta(G, prefix)
-        assert theta(G, w.rotated(k)) == conj.inverse() * theta(G, w) * conj
-        assert is_pure(G, w) == is_pure(G, w.rotated(k))
+        assert theta(G, rotated(w, k)) == conj.inverse() * theta(G, w) * conj
+        assert is_pure(G, w) == is_pure(G, rotated(w, k))
 
 
 def test_inverse_is_pure_square():
