@@ -26,7 +26,10 @@ def analyze_dir(directory: str, as_json: bool, analyze_one, dumps, envelope) -> 
     exits 1 when the directory has no .graph file or any file failed, and
     otherwise with the highest exit code of its files.
     """
-    paths = sorted(str(p) for p in Path(directory).iterdir() if p.suffix == ".graph")
+    # pathlib's suffix rule read off the strings: a child's name or suffix
+    # would intern its name (Python 3.13 parses the children on demand)
+    children = map(str, Path(directory).iterdir())
+    paths = sorted(p for p in children if p.endswith(".graph") and len(os.path.basename(p)) > 6)
     if not paths:
         print(f"no .graph files in {directory}", file=sys.stderr)
         return 1
@@ -39,9 +42,12 @@ def analyze_dir(directory: str, as_json: bool, analyze_one, dumps, envelope) -> 
     for path in paths:
         try:
             info, result, code = analyze_one(path)
-            out = Path(path).with_suffix(".report.json")
+            # the path ends in .graph; a Path built per file would intern its
+            # name, which Python 3.12 keeps for good and 3.10-3.11 churn
+            # through the table of interned strings, which never shrinks
+            out = path[: -len(".graph")] + ".report.json"
             text = dumps(envelope("analyze", info, result))
-            fd, tmp = tempfile.mkstemp(dir=str(out.parent), suffix=".tmp")
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out) or ".", suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as fh:
                     fh.write(text)

@@ -1,50 +1,47 @@
-"""Exact arithmetic in the cyclotomic field generated by exp(i*pi/N).
+"""Exact arithmetic in the real cyclotomic field Q(cos(pi/N)).
 
-Elements are residues of rational polynomials modulo the 2N-th cyclotomic
-polynomial, stored as integer coefficient vectors over a common positive
-denominator.  This gives a decidable zero test (the reduced polynomial is
-zero) and therefore exact equality.  The sign of a real element is its
-value sum(c_j * cos(j*pi/N)), decided in this order: the scalar's own memo,
-the zero test, the rational shortcut, then a ladder of fixed-point sums.
-Each rung sums the numerators exactly, in integers, against a table of
+Every value the reflection representation builds is real: its entries are
+polynomials in 2cos(pi/m).  So elements live in the real subfield of
+Q(exp(i*pi/N)), of degree D = phi(2N)/2 (D = 1 for N <= 2), stored as
+integer coefficients of the basis 1, C_1, ..., C_(D-1) with
+C_j = 2cos(j*pi/N), over a common positive denominator.  The representation
+is canonical, which gives a decidable zero test (every coefficient is zero)
+and therefore exact equality.
+
+Products use C_i * C_j = C_(i+j) + C_|i-j|, with C_0 = 2.  Indices come back
+below N/2 through C_(2N-k) = C_k, C_N = -2 and C_(N-k) = -C_k (so
+C_(N/2) = 0), and those from D up fold through the relation read off the
+palindromic 2N-th cyclotomic polynomial Phi of degree 2D: with
+x = exp(i*pi/N), x^-D * Phi(x) = p_D + sum_(k>=1) p_(D+k) * C_k = 0.  So
+C_D = -p_D - sum_(k<D) p_(D+k) * C_k, and C_k = C_(k-D) * C_D - C_|k-2D| for
+k > D, which only the nonzero p_(D+k) enter.  Phi is the Moebius product
+prod_(d | 2N) (x^d - 1)^mu(2N/d), multiplied and divided one binomial at a
+time in linear passes; for an n that is not squarefree,
+Phi_n(x) = Phi_r(x^(n/r)) with r the radical of n, so the passes run only
+over the binomials of Phi_r.
+
+Products run over the nonzero terms of each operand only.  A Cartan
+coefficient 2cos(pi/m) is the single term C_(N/m) when N/m < D, so a
+generator update costs about twice the term count of the entry it scales.
+Each scalar finds its terms in one pass and keeps them; an empty list is the
+zero test and one term at index 0 the rational shortcut.  Sums, negation and
+scaling map operator functions over the numerator tuples.
+
+The sign of an element is decided in this order: the scalar's own memo, the
+zero test, the rational shortcut, then a ladder of fixed-point sums.  Each
+rung sums the numerators exactly, in integers, against a table of
 cos(j*pi/N) * 2^bits built in integer arithmetic with a proven radius, and
 keeps the sign of the sum once it clears the numerators' weight times that
-radius; the first rung reads a 120-bit table, the later ones double the
-bits from 256.  Nonzero algebraic numbers are bounded away from zero, so the
+radius; the first rung reads a 120-bit table, the later ones double the bits
+from 256.  Nonzero algebraic numbers are bounded away from zero, so the
 ladder terminates; the 4096-bit cap is a loud guard against bugs, not a
 domain error.
 
-The modulus is the Moebius product prod_{d | 2N} (x^d - 1)^mu(2N/d),
-multiplied and divided one binomial at a time in linear passes.  For an n
-that is not squarefree, Phi_n(x) = Phi_r(x^(n/r)) with r the radical of n
-(the product of its distinct primes), so the passes run only over the
-binomials of Phi_r: Phi_2520, of degree 576, is Phi_210, of degree 48, in
-x^12.  Reduction first folds with x^N = -1 (the modulus divides x^N + 1),
-then through the nonzero terms of the modulus below its degree only, so
-field set-up and each reduction cost in proportion to the modulus's
-sparsity rather than its degree.
-
-Products run over the nonzero terms of each operand only: the operands of
-the reflection representation are sparse (a median of 25 nonzero
-coefficients at degree 144 and 576), so the convolution costs the product
-of the term counts, not degree squared.  Each scalar finds its terms in one
-pass and keeps them, since the Cartan coefficients enter every generator
-update; an empty list is the zero test and one term at x^0 the rational
-shortcut.  Sums, negation and scaling map operator functions over the
-numerator tuples.
-
-All values used by the reflection representation are real; realness is a
-flag propagated through arithmetic and checked against conjugation (the
-substitution x -> x^(2N-1)) only when a value is built from raw coefficients.
-Conjugation sends each term c*x^j to -c*x^(N-j), as x^N = -1, and reduces
-once; the table of all 2N root powers (power_table) is left to the tests as
-the oracle of root powers and conjugation.
-
 Arithmetic with int or Scalar operands works on integer numerators and
 denominators alone; fractions is imported only where a Fraction is given or
-returned (from_rational given a non-int, from_coeffs, as_fraction, inverse,
-division, Fraction operands and the hash of a non-integer rational), since
-loading it adds 3 ms or more to a process's start-up.
+returned (from_rational given a non-int, from_coeffs, as_fraction, division,
+Fraction operands and the hash of a non-integer rational), since loading it
+adds 3 ms or more to a process's start-up.
 """
 
 from __future__ import annotations
@@ -58,12 +55,13 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 if TYPE_CHECKING:
     from fractions import Fraction
 
-# Largest field degree phi(2N) a context is built for.  Labels 101 and 103
-# give degree 10200, where `reduce` on a five-letter word takes about 7 s; a
-# graph's field stays there with a label 2 beside them, because
-# `coxeter.field_of` leaves label 2 out of N (cos(pi/2) = 0).  At degree 32760
-# (labels 127, 131 and 2 given to field_context) it takes about 15 s.  Labels
-# such as 10^9 would need gigabytes for the modulus alone.
+# Largest degree phi(2N) of the cyclotomic field whose real subfield, of half
+# that degree, a context is built for.  Labels 101 and 103 give 10200, where
+# `reduce` on a five-letter word computes for about 0.05 s (2 s in Q(zeta_2N)
+# itself); a graph's field stays there with a label 2 beside them, because
+# `coxeter.field_of` leaves label 2 out of N (cos(pi/2) = 0).  Labels 127 and
+# 131 give 16380, where a 16-letter `reduce` computes for about 0.1 s.  Labels
+# such as 10^9 would need gigabytes for Phi alone.
 MAX_FIELD_DEGREE = 2**15
 
 # Fractional bits of the cosine tables behind the sign rungs: the first rung
@@ -206,19 +204,13 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 class FieldContext:
-    """Arithmetic context for one field: modulus, fold terms and value caches.
+    """Arithmetic context for one field Q(cos(pi/N)): its degree D, the fold
+    relation of C_D and value caches.
 
-    The modulus is the 2N-th cyclotomic polynomial, built as a Moebius product
-    of binomials.  Reduction folds each coefficient at x^k with k >= N onto
-    x^(k-N) with its sign flipped, then each one above the degree through the
-    nonzero lower terms of the modulus only, which are few (6 to 32 for the
-    fields of degree 96 to 1152).  Root powers and conjugates reduce once
-    each.
-
-    The degree phi(2N) is checked against MAX_FIELD_DEGREE before anything is
-    built.  As phi(n) >= sqrt(n/2), phi(2N) >= sqrt(N): an N past
-    MAX_FIELD_DEGREE^2 fails without factoring, and below that, trial
-    division up to sqrt(2N) is cheap.
+    The degree phi(2N) of the cyclotomic field is checked against
+    MAX_FIELD_DEGREE before anything is built.  As phi(n) >= sqrt(n/2),
+    phi(2N) >= sqrt(N): an N past MAX_FIELD_DEGREE^2 fails without factoring,
+    and below that, trial division up to sqrt(2N) is cheap.
     """
 
     def __init__(self, N: int):
@@ -227,20 +219,16 @@ class FieldContext:
         if N > MAX_FIELD_DEGREE**2 or _totient(2 * N) > MAX_FIELD_DEGREE:
             raise ValueError(f"field exceeds the {MAX_FIELD_DEGREE}-degree guard")
         self.N = N
-        self.modulus = cyclotomic_polynomial(2 * N)
-        self.degree = len(self.modulus) - 1
-        d = self.degree
-        # x^d = sum(c * x^t) mod the (monic) modulus over these nonzero terms;
-        # all higher powers fold through them
-        self._fold_terms = tuple((t, -c) for t, c in enumerate(self.modulus[:d]) if c)
-        self._power_table: tuple[tuple[int, ...], ...] | None = None
+        poly = cyclotomic_polynomial(2 * N)
+        d = self.degree = max(1, (len(poly) - 1) // 2)
+        # C_D = const + sum(b * C_t) over these nonzero terms, 0 < t < D
+        self._fold_const = -poly[d]
+        self._fold_terms = tuple((t, -c) for t, c in enumerate(poly[d + 1 : 2 * d], 1) if c)
         self._cos_first: tuple[int, ...] | None = None
         self._cos_cache: dict[int, tuple[int, ...]] = {}
         self._cos_pi_cache: dict[int, Scalar] = {}
-        zero_nums = (0,) * d
-        self.zero = Scalar(self, zero_nums, 1, real=True)
-        one_nums = (1,) + (0,) * (d - 1)
-        self.one = Scalar(self, one_nums, 1, real=True)
+        self.zero = Scalar(self, (0,) * d, 1)
+        self.one = Scalar(self, (1,) + (0,) * (d - 1), 1)
 
     def __repr__(self) -> str:
         return f"FieldContext(N={self.N})"
@@ -253,10 +241,10 @@ class FieldContext:
 
             q = Fraction(q)
         nums = (q.numerator,) + (0,) * (self.degree - 1)
-        return Scalar(self, nums, q.denominator, real=True)
+        return Scalar(self, nums, q.denominator)
 
     def from_coeffs(self, coeffs: Sequence[int | Fraction]) -> "Scalar":
-        """Scalar from rational coefficients of powers of the root, any length."""
+        """Scalar from rational coefficients of 1, C_1, C_2, ..., any length."""
         from fractions import Fraction
 
         den = 1
@@ -265,52 +253,62 @@ class FieldContext:
         nums = [int(Fraction(c) * den) for c in coeffs]
         return Scalar(self, self.reduce(nums), den)
 
-    def root_power(self, k: int) -> "Scalar":
-        """The exact value of the generator raised to the k-th power (any integer k)."""
-        k %= 2 * self.N
-        return Scalar(self, self.reduce([0] * k + [1]), 1)
-
     # -- reduction machinery ----------------------------------------------
 
     def reduce(self, nums: Sequence[int]) -> tuple[int, ...]:
-        """Reduce an integer coefficient vector of any length modulo the modulus."""
-        d = self.degree
+        """Reduce integer coefficients of 1, C_1, C_2, ... (any length) to the
+        basis 1, C_1, ..., C_(D-1)."""
+        d, N = self.degree, self.N
         if len(nums) <= d:
             return tuple(nums) + (0,) * (d - len(nums))
         work = list(nums)
-        # x^N = -1 modulo the 2N-th cyclotomic polynomial, so everything at or
-        # above x^N folds down by N first, leaving at most N coefficients
-        n = self.N
-        for k in range(len(work) - 1, n - 1, -1):
-            if work[k]:
-                work[k - n] -= work[k]
-        del work[n:]
-        terms = self._fold_terms
+        half = N // 2
+        # C_(2N-k) = C_k, C_N = -2 and C_(N-k) = -C_k: every index past N/2
+        # comes down, and C_(N/2) = 0
+        if len(work) > half:
+            for k in range(len(work) - 1, half, -1):
+                c = work[k]
+                if c:
+                    r = k % (2 * N)
+                    if r > N:
+                        r = 2 * N - r
+                    if r == N or not r:
+                        work[0] += -2 * c if r else 2 * c
+                    elif 2 * r > N:
+                        work[N - r] -= c
+                    elif 2 * r < N:
+                        work[r] += c
+            del work[half + 1 :]
+            if not N % 2:
+                work[half] = 0
+        const, terms = self._fold_const, self._fold_terms
+        # C_0 = 2 lands in slot 0 and counts double at the end; the constant
+        # the relation itself adds at k = D goes to `unit`
+        c0, work[0], unit = work[0], 0, 0
         for k in range(len(work) - 1, d - 1, -1):
-            c = work[k]
-            if c:
-                off = k - d
+            c = work.pop()
+            if not c:
+                continue
+            i = k - d
+            if i:  # C_k = C_i * C_D - C_|k-2D|
+                work[i] += c * const
                 for t, b in terms:
-                    work[off + t] += c * b
-        return tuple(work[:d])
+                    cb = c * b
+                    work[i + t] += cb
+                    work[i - t if i > t else t - i] += cb
+                work[k - 2 * d if k > 2 * d else 2 * d - k] -= c
+            else:
+                unit += c * const
+                for t, b in terms:
+                    work[t] += c * b
+        work[0] = c0 + unit + 2 * work[0]
+        return tuple(work)
 
     def power_table(self) -> tuple[tuple[int, ...], ...]:
-        # x^k mod modulus for k in [0, 2N); the tests' oracle for root_power
-        # and conj, which the program does not call.
-        if self._power_table is None:
-            d = self.degree
-            terms = self._fold_terms
-            table = []
-            cur = [1] + [0] * (d - 1)
-            for _ in range(2 * self.N):
-                table.append(tuple(cur))
-                top = cur[d - 1]
-                cur = [0] + cur[: d - 1]
-                if top:
-                    for t, b in terms:
-                        cur[t] += top * b
-            self._power_table = tuple(table)
-        return self._power_table
+        """C_k reduced, for 0 <= k < 2N: the tests' view of index reduction
+        and the fold, which the program does not call.  (The name is that of
+        the cyclotomic table of root powers, which bench/shim.py wraps.)"""
+        return tuple(self.reduce([0] * k + [1] if k else [2]) for k in range(2 * self.N))
 
     def cos_table(self) -> tuple[int, ...]:
         """The first sign rung's table: cos(j*pi/N) * 2^120 for j < degree,
@@ -338,8 +336,8 @@ def _context_for(N: int) -> FieldContext:
 
 
 def field_context(labels: Iterable[int]) -> FieldContext:
-    """Context for the smallest field containing cos(pi/m) for every finite
-    label; FieldContext refuses a degree past MAX_FIELD_DEGREE."""
+    """Context for the smallest field Q(cos(pi/N)) containing cos(pi/m) for
+    every finite label; FieldContext refuses a phi(2N) past MAX_FIELD_DEGREE."""
     N = 1
     for m in labels:
         if not (isinstance(m, int) and m >= 2):
@@ -349,13 +347,13 @@ def field_context(labels: Iterable[int]) -> FieldContext:
 
 
 def cos_pi_over(m: int | float, ctx: FieldContext) -> "Scalar":
-    """Exact cos(pi/m) for finite m dividing N, or m = 2; the rational 1 for an
-    infinite label.
+    """Exact cos(pi/m) = C_(N/m) / 2 for finite m dividing N, or m = 2; the
+    rational 1 for an infinite label.
 
     The infinite-label value 1 makes -cos equal to -1, the standard Gram entry
     for a non-adjacent pair in the reflection representation.  Finite values
     are built once per context and shared: scalars are immutable, and their
-    lazily cached sign and realness depend on the value alone.
+    lazily cached sign depends on the value alone.
     """
     if m == math.inf:
         return ctx.one
@@ -367,10 +365,8 @@ def cos_pi_over(m: int | float, ctx: FieldContext) -> "Scalar":
         raise ValueError(f"label {m} does not divide the context order N={ctx.N}")
     cached = ctx._cos_pi_cache.get(m)
     if cached is None:
-        k = ctx.N // m
-        val = ctx.root_power(k) + ctx.root_power(2 * ctx.N - k)
-        cached = Scalar(ctx, val.nums, 2 * val.den, real=True)
-        ctx._cos_pi_cache[m] = cached
+        nums = ctx.reduce([0] * (ctx.N // m) + [1])
+        cached = ctx._cos_pi_cache[m] = Scalar(ctx, nums, 2)
     return cached
 
 
@@ -398,25 +394,24 @@ def _normalize(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
 
 
 class Scalar:
-    """Immutable field element: integer coefficients over a positive denominator.
+    """Immutable field element: integer coefficients of 1, C_1, ..., C_(D-1)
+    over a positive denominator.
 
-    The coefficient tuple always has length equal to the context degree and is
-    reduced modulo the modulus, and the constructor divides out the gcd of the
-    denominator and the numerators; so the representation is canonical and
-    equality is structural within a field.  A rational scalar hashes as its
-    value, which it equals as an int, a Fraction or a rational scalar of any
-    field.
+    The coefficient tuple always has length equal to the context degree, and
+    the constructor divides out the gcd of the denominator and the
+    numerators; so the representation is canonical and equality is
+    structural within a field.  A rational scalar hashes as its value, which
+    it equals as an int, a Fraction or a rational scalar of any field.
     """
 
-    __slots__ = ("ctx", "nums", "den", "_real", "_sign", "_terms")
+    __slots__ = ("ctx", "nums", "den", "_sign", "_terms")
 
-    def __init__(self, ctx: FieldContext, nums: tuple[int, ...], den: int, real=None):
+    def __init__(self, ctx: FieldContext, nums: tuple[int, ...], den: int):
         if den != 1:
             nums, den = _normalize(nums, den)
         self.ctx = ctx
         self.nums = nums
         self.den = den
-        self._real = real
         self._sign = None
         self._terms = None
 
@@ -429,7 +424,8 @@ class Scalar:
         return not any(self.nums[1:])
 
     def nonzero_terms(self) -> tuple[tuple[int, int], ...]:
-        """(j, c) for each nonzero numerator c of x^j, in order; built once."""
+        """(j, c) for each nonzero numerator c of C_j (j = 0: of 1), in
+        order; built once."""
         terms = self._terms
         if terms is None:
             nums = self.nums
@@ -444,24 +440,9 @@ class Scalar:
         return Fraction(self.nums[0], self.den)
 
     def conj(self) -> "Scalar":
-        """Image under the substitution x -> x^(2N-1), i.e. complex conjugation.
-
-        A term c*x^j with 0 < j < N goes to c*x^(2N-j) = -c*x^(N-j), since
-        x^N = -1; every image lies below x^N, so one reduction finishes."""
-        ctx, N = self.ctx, self.ctx.N
-        out = [0] * N
-        for j, c in self.nonzero_terms():
-            if j:
-                out[N - j] = -c
-            else:
-                out[0] = c
-        return Scalar(ctx, ctx.reduce(out), self.den)
-
-    @property
-    def is_real(self) -> bool:
-        if self._real is None:
-            self._real = self.conj() == self
-        return self._real
+        """The complex conjugate: every element of a real field is its own.
+        Kept because bench/shim.py wraps it by name."""
+        return self
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -481,7 +462,6 @@ class Scalar:
             return b
         if not any(b.nums):
             return a
-        real = True if (a._real and b._real) else None
         if a.den == b.den:
             nums = tuple(map(add, a.nums, b.nums))
             den = a.den
@@ -490,12 +470,12 @@ class Scalar:
             da, db = b.den // g, a.den // g
             nums = tuple(map(add, map(mul, a.nums, repeat(da)), map(mul, b.nums, repeat(db))))
             den = a.den * da
-        return Scalar(self.ctx, nums, den, real=real)
+        return Scalar(self.ctx, nums, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.ctx, tuple(map(neg, self.nums)), self.den, real=self._real)
+        return Scalar(self.ctx, tuple(map(neg, self.nums)), self.den)
 
     def __sub__(self, other):
         if isinstance(other, Scalar) or _rational_operand(other):
@@ -510,7 +490,7 @@ class Scalar:
         if num == den == 1:
             return self
         nums = tuple(map(mul, self.nums, repeat(num)))
-        return Scalar(self.ctx, nums, den * self.den, real=self._real)
+        return Scalar(self.ctx, nums, den * self.den)
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
@@ -519,8 +499,8 @@ class Scalar:
             return NotImplemented
         if other.ctx is not self.ctx:
             self._check(other)
-        # the nonzero terms alone: the operands are sparse (25 of 576 terms
-        # is typical), and one term at x^0 is a rational
+        # the nonzero terms alone: a Cartan coefficient is one or two terms,
+        # and one term at index 0 is a rational
         a, b = self.nonzero_terms(), other.nonzero_terms()
         if not a or not b:
             return self.ctx.zero
@@ -528,12 +508,21 @@ class Scalar:
             return other._scale(a[0][1], self.den)
         if len(b) == 1 and not b[0][0]:
             return self._scale(b[0][1], other.den)
+        a0, b0 = (a[0][1] if not a[0][0] else 0), (b[0][1] if not b[0][0] else 0)
+        b_rest = b[1:] if b0 else b
         conv = [0] * (a[-1][0] + b[-1][0] + 1)
-        for i, x in a:
+        for i, x in a[1:] if a0 else a:
+            if b0:
+                conv[i] += x * b0
+            for j, y in b_rest:  # C_i * C_j = C_(i+j) + C_|i-j|
+                p = x * y
+                conv[i + j] += p
+                conv[i - j if i > j else j - i] += p
+        conv[0] *= 2  # what landed there is C_0 = 2
+        if a0:
             for j, y in b:
-                conv[i + j] += x * y
-        real = True if (self._real and other._real) else None
-        return Scalar(self.ctx, self.ctx.reduce(conv), self.den * other.den, real=real)
+                conv[j] += a0 * y
+        return Scalar(self.ctx, self.ctx.reduce(conv), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -550,43 +539,21 @@ class Scalar:
         return out
 
     def inverse(self) -> "Scalar":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse: the product of the other Galois conjugates,
+        C_j -> C_(a*j) for a unit a of Z/2N up to sign, over the norm."""
         if not self:
             raise ZeroDivisionError("scalar is zero")
-        from fractions import Fraction
-
-        if self.is_rational():
-            q = 1 / self.as_fraction()
-            return self.ctx.from_rational(q)
-        a = [Fraction(c, self.den) for c in self.nums]
-        b = [Fraction(c) for c in self.ctx.modulus]
-        s0, s1 = [Fraction(1)], [Fraction(0)]
-
-        def deg(p):
-            for i in range(len(p) - 1, -1, -1):
-                if p[i]:
-                    return i
-            return -1
-
-        while deg(b) > 0:
-            da, db = deg(a), deg(b)
-            if da < db:
-                a, b, s0, s1 = b, a, s1, s0
-                continue
-            shift, factor = da - db, a[da] / b[db]
-            for t in range(db + 1):
-                a[t + shift] -= factor * b[t]
-            if len(s0) < len(s1) + shift + 1:
-                s0 = s0 + [Fraction(0)] * (len(s1) + shift + 1 - len(s0))
-            for t in range(len(s1)):
-                s0[t + shift] -= factor * s1[t]
-        if deg(b) != 0:
-            raise ArithmeticError("modulus is not coprime to the element")
-        g = b[0]
-        coeffs = [c / g for c in s1]
-        result = self.ctx.from_coeffs(coeffs)
-        result._real = self._real
-        return result
+        ctx, N = self.ctx, self.ctx.N
+        others = ctx.one
+        for a in range(2, N):
+            if math.gcd(a, 2 * N) == 1:
+                image = [0] * (2 * N)
+                for j, c in self.nonzero_terms():
+                    image[a * j % (2 * N) if j else 0] += c
+                others = others * Scalar(ctx, ctx.reduce(image), self.den)
+        norm = self * others
+        num, den = norm.den, norm.nums[0]
+        return others._scale(num, den) if den > 0 else others._scale(-num, -den)
 
     def __truediv__(self, other):
         from fractions import Fraction
@@ -623,18 +590,19 @@ class Scalar:
 
         return hash(Fraction(self.nums[0], self.den))
 
-    # -- sign and numeric views ------------------------------------------------
+    # -- sign ------------------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of a real element: -1, 0 or +1.
+        """Exact sign: -1, 0 or +1.
 
         Decided by the scalar's own memo, the zero test and the rational
         shortcut, in that order, and then by the fixed-point ladder.  Each
-        rung takes the exact integer sum S = sum(c_j * t_j) against a table t
-        of cos(j*pi/N) * 2^bits, whose entries lie within 8 * bits * degree
-        units of their values, and keeps the sign of S once |S| exceeds
-        sum(|c_j|) times that radius.  The first rung reads cos_table (120
-        bits); the later ones cos_enclosures, from 256 to 4096 bits.
+        rung takes the exact integer sum S = c_0 * 2^bits + sum(c_j * 2t_j)
+        against a table t of cos(j*pi/N) * 2^bits, whose doubled entries lie
+        within 16 * bits * degree units of C_j * 2^bits, and keeps the sign of
+        S once |S| exceeds sum(|c_j|) times that radius.  The first rung
+        reads cos_table (120 bits); the later ones cos_enclosures, from 256
+        to 4096 bits.
         """
         if self._sign is not None:
             return self._sign
@@ -644,13 +612,12 @@ class Scalar:
         if self.is_rational():
             self._sign = 1 if self.nums[0] > 0 else -1
             return self._sign
-        if not self.is_real:
-            raise ValueError("sign is defined for real scalars only")
         ctx, nums = self.ctx, self.nums
-        radius_per_bit = 8 * ctx.degree * sum(map(abs, nums))
+        radius_per_bit = 16 * ctx.degree * sum(map(abs, nums))
         for bits in _SIGN_LADDER:
             table = ctx.cos_table() if bits == _SIGN_LADDER[0] else ctx.cos_enclosures(bits)
-            total = sum(map(mul, nums, table))
+            # table[0] = 2^bits is exact, and 1 is not doubled
+            total = 2 * sum(map(mul, nums, table)) - (nums[0] << bits)
             if abs(total) > radius_per_bit * bits:
                 self._sign = 1 if total > 0 else -1
                 return self._sign
@@ -665,7 +632,7 @@ class Scalar:
         terms = []
         for j, c in enumerate(self.nums):
             if c:
-                terms.append(f"{c}*z^{j}" if j else str(c))
+                terms.append(f"{c}*C{j}" if j else str(c))
         body = " + ".join(terms).replace("+ -", "- ")
         if self.den != 1:
             return f"Scalar(({body})/{self.den}, N={self.ctx.N})"

@@ -11,13 +11,16 @@ spherical and Euclidean tests, the order of the Coxeter element and the
 longest element by matrix products for the center generator's exponent,
 an exhaustive sweep over vertex subsets for the FC-type test, every
 induced triple for the two-dimensional test,
-retraction by explicit conjugation of each letter's generator, cyclotomic
+retraction by explicit conjugation of each letter's generator, the
+cyclotomic field Q(zeta_2N) (the field arithmetic before the real subfield,
+moved here unchanged) for every product, sum, sign and cosine of the real
+field through the embedding C_j -> zeta^j + zeta^-j, cyclotomic
 polynomials by the product recursion with dense division, reduction by a
-dense fold through every lower coefficient of the modulus, field products
-by the schoolbook convolution over every coefficient of both operands, sums
-by Fraction coefficients, conjugation through the table of all 2N root
-powers, signs of real field elements by outward-rounded mpmath interval
-sums, rank-2 Garside normal forms by fixed-point combing of a
+dense fold through every lower coefficient of the modulus, cyclotomic
+products by the schoolbook convolution over every coefficient of both
+operands, sums by Fraction coefficients, conjugation through the table of
+all 2N root powers, signs of field elements by outward-rounded mpmath
+interval sums, rank-2 Garside normal forms by fixed-point combing of a
 simple-factor list, the command line by the hand-written argparse parser,
 vertex names and word tokens by regular expressions, and JSON output by
 json.dumps.
@@ -38,7 +41,9 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, product, repeat
+from operator import add, mul, neg
+from typing import Iterable, Sequence
 
 from artincenter import __version__, cli
 from artincenter.coxeter import (
@@ -59,7 +64,19 @@ from artincenter.diagram import is_spherical
 from artincenter.dihedral import GarsideNormalForm, _validate, dihedral_equal
 from artincenter.retraction import retract, retract_trace
 from artincenter.graph import INF, DefiningGraph, make_graph
-from artincenter.scalar import FieldContext, Scalar, cos_pi_over
+from artincenter.scalar import (
+    _SIGN_LADDER,
+    MAX_FIELD_DEGREE,
+    FieldContext,
+    PrecisionExhaustedError,
+    Scalar,
+    _cos_table,
+    _normalize,
+    _rational_operand,
+    _totient,
+    cos_pi_over,
+    cyclotomic_polynomial,
+)
 from artincenter.words import MAX_LETTERS, ArtinWord, WordSyntaxError, abelianize
 
 
@@ -89,18 +106,23 @@ def is_reduced_for(w: CoxeterElement, subset) -> bool:
     return not any(w.has_left_descent(v) for v in w.graph.subset(subset))
 
 
-def float_value(x: Scalar | int) -> float:
+def float_value(x: Scalar | CyclotomicScalar | int) -> float:
     """The real value of a field element, or of a kernel integer."""
     if isinstance(x, int):
         return float(x)
+    angle = math.pi / x.ctx.N
+    if isinstance(x, Scalar):  # c_0 + sum(c_j * 2cos(j*pi/N))
+        total = x.nums[0] + sum(2 * c * math.cos(j * angle) for j, c in enumerate(x.nums) if c and j)
+        return total / x.den
     if not x.is_real:
         raise ValueError("float value is defined for real scalars only")
-    angle = math.pi / x.ctx.N
     total = sum(c * math.cos(j * angle) for j, c in enumerate(x.nums) if c)
     return total / x.den
 
 
-def complex_value(x: Scalar) -> complex:
+def complex_value(x: Scalar | CyclotomicScalar) -> complex:
+    if isinstance(x, Scalar):
+        return complex(float_value(x))
     angle = math.pi / x.ctx.N
     total = sum(
         c * complex(math.cos(j * angle), math.sin(j * angle)) for j, c in enumerate(x.nums) if c
@@ -402,6 +424,470 @@ def assert_matches_symmetric_kernel(
             ] == steps, (g, word, subset)
 
 
+# -- the cyclotomic field Q(zeta_2N): the field arithmetic before the real
+# subfield, kept as the oracle of the program's Scalar through the embedding
+# C_j -> zeta^j + zeta^-j (see embed)
+
+
+class CyclotomicField:
+    """Arithmetic context for one field: modulus, fold terms and value caches.
+
+    The modulus is the 2N-th cyclotomic polynomial, built as a Moebius product
+    of binomials.  Reduction folds each coefficient at x^k with k >= N onto
+    x^(k-N) with its sign flipped, then each one above the degree through the
+    nonzero lower terms of the modulus only, which are few (6 to 32 for the
+    fields of degree 96 to 1152).  Root powers and conjugates reduce once
+    each.
+
+    The degree phi(2N) is checked against MAX_FIELD_DEGREE before anything is
+    built.  As phi(n) >= sqrt(n/2), phi(2N) >= sqrt(N): an N past
+    MAX_FIELD_DEGREE^2 fails without factoring, and below that, trial
+    division up to sqrt(2N) is cheap.
+    """
+
+    def __init__(self, N: int):
+        if N < 1:
+            raise ValueError("N must be positive")
+        if N > MAX_FIELD_DEGREE**2 or _totient(2 * N) > MAX_FIELD_DEGREE:
+            raise ValueError(f"field exceeds the {MAX_FIELD_DEGREE}-degree guard")
+        self.N = N
+        self.modulus = cyclotomic_polynomial(2 * N)
+        self.degree = len(self.modulus) - 1
+        d = self.degree
+        # x^d = sum(c * x^t) mod the (monic) modulus over these nonzero terms;
+        # all higher powers fold through them
+        self._fold_terms = tuple((t, -c) for t, c in enumerate(self.modulus[:d]) if c)
+        self._power_table: tuple[tuple[int, ...], ...] | None = None
+        self._cos_first: tuple[int, ...] | None = None
+        self._cos_cache: dict[int, tuple[int, ...]] = {}
+        self._cos_pi_cache: dict[int, CyclotomicScalar] = {}
+        zero_nums = (0,) * d
+        self.zero = CyclotomicScalar(self, zero_nums, 1, real=True)
+        one_nums = (1,) + (0,) * (d - 1)
+        self.one = CyclotomicScalar(self, one_nums, 1, real=True)
+
+    def __repr__(self) -> str:
+        return f"CyclotomicField(N={self.N})"
+
+    # -- construction ----------------------------------------------------
+
+    def from_rational(self, q: int | Fraction) -> "CyclotomicScalar":
+        if not isinstance(q, int):
+            from fractions import Fraction
+
+            q = Fraction(q)
+        nums = (q.numerator,) + (0,) * (self.degree - 1)
+        return CyclotomicScalar(self, nums, q.denominator, real=True)
+
+    def from_coeffs(self, coeffs: Sequence[int | Fraction]) -> "CyclotomicScalar":
+        """Scalar from rational coefficients of powers of the root, any length."""
+        from fractions import Fraction
+
+        den = 1
+        for c in coeffs:
+            den = den * Fraction(c).denominator // math.gcd(den, Fraction(c).denominator)
+        nums = [int(Fraction(c) * den) for c in coeffs]
+        return CyclotomicScalar(self, self.reduce(nums), den)
+
+    def root_power(self, k: int) -> "CyclotomicScalar":
+        """The exact value of the generator raised to the k-th power (any integer k)."""
+        k %= 2 * self.N
+        return CyclotomicScalar(self, self.reduce([0] * k + [1]), 1)
+
+    # -- reduction machinery ----------------------------------------------
+
+    def reduce(self, nums: Sequence[int]) -> tuple[int, ...]:
+        """Reduce an integer coefficient vector of any length modulo the modulus."""
+        d = self.degree
+        if len(nums) <= d:
+            return tuple(nums) + (0,) * (d - len(nums))
+        work = list(nums)
+        # x^N = -1 modulo the 2N-th cyclotomic polynomial, so everything at or
+        # above x^N folds down by N first, leaving at most N coefficients
+        n = self.N
+        for k in range(len(work) - 1, n - 1, -1):
+            if work[k]:
+                work[k - n] -= work[k]
+        del work[n:]
+        terms = self._fold_terms
+        for k in range(len(work) - 1, d - 1, -1):
+            c = work[k]
+            if c:
+                off = k - d
+                for t, b in terms:
+                    work[off + t] += c * b
+        return tuple(work[:d])
+
+    def power_table(self) -> tuple[tuple[int, ...], ...]:
+        # x^k mod modulus for k in [0, 2N); the tests' oracle for root_power
+        # and conj, which the program does not call.
+        if self._power_table is None:
+            d = self.degree
+            terms = self._fold_terms
+            table = []
+            cur = [1] + [0] * (d - 1)
+            for _ in range(2 * self.N):
+                table.append(tuple(cur))
+                top = cur[d - 1]
+                cur = [0] + cur[: d - 1]
+                if top:
+                    for t, b in terms:
+                        cur[t] += top * b
+            self._power_table = tuple(table)
+        return self._power_table
+
+    def cos_table(self) -> tuple[int, ...]:
+        """The first sign rung's table: cos(j*pi/N) * 2^120 for j < degree,
+        entry j within 8 * 120 * j units (see _cos_table); built once.
+
+        It is kept apart from cos_enclosures, so that the calls of that one
+        count the signs that get past the first rung."""
+        if self._cos_first is None:
+            self._cos_first = _cos_table(self.N, self.degree, _SIGN_LADDER[0])
+        return self._cos_first
+
+    def cos_enclosures(self, prec: int) -> tuple[int, ...]:
+        """The table of a later sign rung: cos(j*pi/N) * 2^prec for j < degree,
+        entry j within 8 * prec * j units; built once per precision."""
+        cached = self._cos_cache.get(prec)
+        if cached is None:
+            cached = self._cos_cache[prec] = _cos_table(self.N, self.degree, prec)
+        return cached
+
+
+# One context per N keeps a command's scalars on the `ctx is` fast path
+@lru_cache(maxsize=4)
+def _cyclotomic_context_for(N: int) -> CyclotomicField:
+    return CyclotomicField(N)
+
+
+def cyclotomic_field_context(labels: Iterable[int]) -> CyclotomicField:
+    """Context for the smallest field containing cos(pi/m) for every finite
+    label; CyclotomicField refuses a degree past MAX_FIELD_DEGREE."""
+    N = 1
+    for m in labels:
+        if not (isinstance(m, int) and m >= 2):
+            raise ValueError(f"label {m!r} must be an integer >= 2")
+        N = N * m // math.gcd(N, m)
+    return _cyclotomic_context_for(N)
+
+
+def cyclotomic_cos_pi_over(m: int | float, ctx: CyclotomicField) -> "CyclotomicScalar":
+    """Exact cos(pi/m) for finite m dividing N, or m = 2; the rational 1 for an
+    infinite label.
+
+    The infinite-label value 1 makes -cos equal to -1, the standard Gram entry
+    for a non-adjacent pair in the reflection representation.  Finite values
+    are built once per context and shared: scalars are immutable, and their
+    lazily cached sign and realness depend on the value alone.
+    """
+    if m == math.inf:
+        return ctx.one
+    if not (isinstance(m, int) and m >= 2):
+        raise ValueError(f"label {m!r} must be an integer >= 2 or INF")
+    if m == 2:
+        return ctx.zero
+    if ctx.N % m != 0:
+        raise ValueError(f"label {m} does not divide the context order N={ctx.N}")
+    cached = ctx._cos_pi_cache.get(m)
+    if cached is None:
+        k = ctx.N // m
+        val = ctx.root_power(k) + ctx.root_power(2 * ctx.N - k)
+        cached = CyclotomicScalar(ctx, val.nums, 2 * val.den, real=True)
+        ctx._cos_pi_cache[m] = cached
+    return cached
+
+
+class CyclotomicScalar:
+    """Immutable field element: integer coefficients over a positive denominator.
+
+    The coefficient tuple always has length equal to the context degree and is
+    reduced modulo the modulus, and the constructor divides out the gcd of the
+    denominator and the numerators; so the representation is canonical and
+    equality is structural within a field.  A rational scalar hashes as its
+    value, which it equals as an int, a Fraction or a rational scalar of any
+    field.
+    """
+
+    __slots__ = ("ctx", "nums", "den", "_real", "_sign", "_terms")
+
+    def __init__(self, ctx: CyclotomicField, nums: tuple[int, ...], den: int, real=None):
+        if den != 1:
+            nums, den = _normalize(nums, den)
+        self.ctx = ctx
+        self.nums = nums
+        self.den = den
+        self._real = real
+        self._sign = None
+        self._terms = None
+
+    # -- structure ---------------------------------------------------------
+
+    def __bool__(self) -> bool:
+        return any(self.nums)
+
+    def is_rational(self) -> bool:
+        return not any(self.nums[1:])
+
+    def nonzero_terms(self) -> tuple[tuple[int, int], ...]:
+        """(j, c) for each nonzero numerator c of x^j, in order; built once."""
+        terms = self._terms
+        if terms is None:
+            nums = self.nums
+            terms = self._terms = tuple(zip(compress(range(len(nums)), nums), filter(None, nums)))
+        return terms
+
+    def as_fraction(self) -> Fraction:
+        from fractions import Fraction
+
+        if not self.is_rational():
+            raise ValueError("scalar is not rational")
+        return Fraction(self.nums[0], self.den)
+
+    def conj(self) -> "CyclotomicScalar":
+        """Image under the substitution x -> x^(2N-1), i.e. complex conjugation.
+
+        A term c*x^j with 0 < j < N goes to c*x^(2N-j) = -c*x^(N-j), since
+        x^N = -1; every image lies below x^N, so one reduction finishes."""
+        ctx, N = self.ctx, self.ctx.N
+        out = [0] * N
+        for j, c in self.nonzero_terms():
+            if j:
+                out[N - j] = -c
+            else:
+                out[0] = c
+        return CyclotomicScalar(ctx, ctx.reduce(out), self.den)
+
+    @property
+    def is_real(self) -> bool:
+        if self._real is None:
+            self._real = self.conj() == self
+        return self._real
+
+    # -- arithmetic ---------------------------------------------------------
+
+    def _check(self, other: "CyclotomicScalar") -> None:
+        if self.ctx.N != other.ctx.N:
+            raise ValueError("scalars from different field contexts")
+
+    def __add__(self, other):
+        if not isinstance(other, CyclotomicScalar):
+            if not _rational_operand(other):
+                return NotImplemented
+            other = self.ctx.from_rational(other)
+        if other.ctx is not self.ctx:
+            self._check(other)
+        a, b = self, other
+        if not any(a.nums):
+            return b
+        if not any(b.nums):
+            return a
+        real = True if (a._real and b._real) else None
+        if a.den == b.den:
+            nums = tuple(map(add, a.nums, b.nums))
+            den = a.den
+        else:
+            g = math.gcd(a.den, b.den)
+            da, db = b.den // g, a.den // g
+            nums = tuple(map(add, map(mul, a.nums, repeat(da)), map(mul, b.nums, repeat(db))))
+            den = a.den * da
+        return CyclotomicScalar(self.ctx, nums, den, real=real)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return CyclotomicScalar(self.ctx, tuple(map(neg, self.nums)), self.den, real=self._real)
+
+    def __sub__(self, other):
+        if isinstance(other, CyclotomicScalar) or _rational_operand(other):
+            return self + (-other)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _scale(self, num: int, den: int) -> "CyclotomicScalar":
+        """self * num/den, for a positive den."""
+        if num == den == 1:
+            return self
+        nums = tuple(map(mul, self.nums, repeat(num)))
+        return CyclotomicScalar(self.ctx, nums, den * self.den, real=self._real)
+
+    def __mul__(self, other):
+        if not isinstance(other, CyclotomicScalar):
+            if _rational_operand(other):
+                return self._scale(other.numerator, other.denominator)
+            return NotImplemented
+        if other.ctx is not self.ctx:
+            self._check(other)
+        # the nonzero terms alone: the operands are sparse (25 of 576 terms
+        # is typical), and one term at x^0 is a rational
+        a, b = self.nonzero_terms(), other.nonzero_terms()
+        if not a or not b:
+            return self.ctx.zero
+        if len(a) == 1 and not a[0][0]:
+            return other._scale(a[0][1], self.den)
+        if len(b) == 1 and not b[0][0]:
+            return self._scale(b[0][1], other.den)
+        conv = [0] * (a[-1][0] + b[-1][0] + 1)
+        for i, x in a:
+            for j, y in b:
+                conv[i + j] += x * y
+        real = True if (self._real and other._real) else None
+        return CyclotomicScalar(self.ctx, self.ctx.reduce(conv), self.den * other.den, real=real)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = self.ctx.one
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def inverse(self) -> "CyclotomicScalar":
+        """Multiplicative inverse via the extended Euclidean algorithm."""
+        if not self:
+            raise ZeroDivisionError("scalar is zero")
+        from fractions import Fraction
+
+        if self.is_rational():
+            q = 1 / self.as_fraction()
+            return self.ctx.from_rational(q)
+        a = [Fraction(c, self.den) for c in self.nums]
+        b = [Fraction(c) for c in self.ctx.modulus]
+        s0, s1 = [Fraction(1)], [Fraction(0)]
+
+        def deg(p):
+            for i in range(len(p) - 1, -1, -1):
+                if p[i]:
+                    return i
+            return -1
+
+        while deg(b) > 0:
+            da, db = deg(a), deg(b)
+            if da < db:
+                a, b, s0, s1 = b, a, s1, s0
+                continue
+            shift, factor = da - db, a[da] / b[db]
+            for t in range(db + 1):
+                a[t + shift] -= factor * b[t]
+            if len(s0) < len(s1) + shift + 1:
+                s0 = s0 + [Fraction(0)] * (len(s1) + shift + 1 - len(s0))
+            for t in range(len(s1)):
+                s0[t + shift] -= factor * s1[t]
+        if deg(b) != 0:
+            raise ArithmeticError("modulus is not coprime to the element")
+        g = b[0]
+        coeffs = [c / g for c in s1]
+        result = self.ctx.from_coeffs(coeffs)
+        result._real = self._real
+        return result
+
+    def __truediv__(self, other):
+        from fractions import Fraction
+
+        if isinstance(other, (int, Fraction)):
+            return self * (Fraction(1) / Fraction(other))
+        if not isinstance(other, CyclotomicScalar):
+            return NotImplemented
+        return self * other.inverse()
+
+    # -- comparison / hashing ------------------------------------------------
+
+    def __eq__(self, other):
+        if isinstance(other, CyclotomicScalar):
+            if self.ctx.N == other.ctx.N:
+                return self.nums == other.nums and self.den == other.den
+            # rationals compare by value, as they hash, whatever their field
+            return (
+                self.is_rational()
+                and other.is_rational()
+                and (self.nums[0], self.den) == (other.nums[0], other.den)
+            )
+        if _rational_operand(other):
+            ratio = (other.numerator, other.denominator)
+            return self.is_rational() and (self.nums[0], self.den) == ratio
+        return NotImplemented
+
+    def __hash__(self):
+        if not self.is_rational():
+            return hash((self.ctx.N, self.nums, self.den))
+        if self.den == 1:
+            return hash(self.nums[0])
+        from fractions import Fraction
+
+        return hash(Fraction(self.nums[0], self.den))
+
+    # -- sign and numeric views ------------------------------------------------
+
+    def sign(self) -> int:
+        """Exact sign of a real element: -1, 0 or +1.
+
+        Decided by the scalar's own memo, the zero test and the rational
+        shortcut, in that order, and then by the fixed-point ladder.  Each
+        rung takes the exact integer sum S = sum(c_j * t_j) against a table t
+        of cos(j*pi/N) * 2^bits, whose entries lie within 8 * bits * degree
+        units of their values, and keeps the sign of S once |S| exceeds
+        sum(|c_j|) times that radius.  The first rung reads cos_table (120
+        bits); the later ones cos_enclosures, from 256 to 4096 bits.
+        """
+        if self._sign is not None:
+            return self._sign
+        if not self:
+            self._sign = 0
+            return 0
+        if self.is_rational():
+            self._sign = 1 if self.nums[0] > 0 else -1
+            return self._sign
+        if not self.is_real:
+            raise ValueError("sign is defined for real scalars only")
+        ctx, nums = self.ctx, self.nums
+        radius_per_bit = 8 * ctx.degree * sum(map(abs, nums))
+        for bits in _SIGN_LADDER:
+            table = ctx.cos_table() if bits == _SIGN_LADDER[0] else ctx.cos_enclosures(bits)
+            total = sum(map(mul, nums, table))
+            if abs(total) > radius_per_bit * bits:
+                self._sign = 1 if total > 0 else -1
+                return self._sign
+        raise PrecisionExhaustedError(
+            f"sign of nonzero scalar undecided at {_SIGN_LADDER[-1]} bits"
+        )
+
+    def __repr__(self) -> str:
+        if self.is_rational():
+            q = self.nums[0] if self.den == 1 else f"{self.nums[0]}/{self.den}"
+            return f"Scalar({q})"
+        terms = []
+        for j, c in enumerate(self.nums):
+            if c:
+                terms.append(f"{c}*z^{j}" if j else str(c))
+        body = " + ".join(terms).replace("+ -", "- ")
+        if self.den != 1:
+            return f"Scalar(({body})/{self.den}, N={self.ctx.N})"
+        return f"Scalar({body}, N={self.ctx.N})"
+
+
+def embed(x: Scalar) -> CyclotomicScalar:
+    """The image of a real-field element in Q(zeta_2N): c_0 stays, each
+    c_j * C_j becomes c_j * (zeta^j + zeta^(2N-j)), reduced once."""
+    N = x.ctx.N
+    ctx = _cyclotomic_context_for(N)
+    out = [0] * (2 * N)
+    for j, c in enumerate(x.nums):
+        if j:
+            out[j] += c
+            out[2 * N - j] += c
+        else:
+            out[0] += c
+    return CyclotomicScalar(ctx, ctx.reduce(out), x.den)
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_by_division(n: int) -> tuple[int, ...]:
     """The n-th cyclotomic polynomial, low to high: x^n - 1 divided exactly,
@@ -443,20 +929,22 @@ def reduce_by_dense_fold(modulus: tuple[int, ...], nums: list[int]) -> tuple[int
     return tuple(work)
 
 
-def scalar_from_fractions(ctx: FieldContext, coeffs) -> Scalar:
-    """The canonical scalar of d reduced Fraction coefficients: integer
-    numerators over their least common denominator, divided by the gcd."""
+def scalar_from_fractions(ctx: FieldContext | CyclotomicField, coeffs) -> Scalar | CyclotomicScalar:
+    """The canonical scalar of d reduced Fraction coefficients, in either
+    field: integer numerators over their least common denominator, divided
+    by the gcd."""
     den = 1
     for c in coeffs:
         den = den * c.denominator // math.gcd(den, c.denominator)
     nums = [int(c * den) for c in coeffs]
     g = math.gcd(den, *nums)
-    return Scalar(ctx, tuple(c // g for c in nums), den // g)
+    return type(ctx.zero)(ctx, tuple(c // g for c in nums), den // g)
 
 
-def mul_by_schoolbook(a: Scalar, b: Scalar) -> Scalar:
-    """a * b by the full convolution over every coefficient of both operands,
-    reduced by the dense fold: the field product before it went sparse."""
+def mul_by_schoolbook(a: CyclotomicScalar, b: CyclotomicScalar) -> CyclotomicScalar:
+    """a * b in Q(zeta_2N) by the full convolution over every coefficient of
+    both operands, reduced by the dense fold: the cyclotomic product before
+    it went sparse."""
     ctx = a.ctx
     d = ctx.degree
     conv = [0] * (2 * d - 1)
@@ -476,7 +964,7 @@ def add_by_coefficients(a: Scalar, b: Scalar, sign: int = 1) -> Scalar:
     )
 
 
-def conj_by_power_table(value: Scalar) -> Scalar:
+def conj_by_power_table(value: CyclotomicScalar) -> CyclotomicScalar:
     """The image of x -> x^(2N-1): each coefficient of x^j times the reduced
     row of x^(2N-j) in the table of all 2N root powers."""
     ctx = value.ctx
@@ -497,20 +985,21 @@ INTERVAL_LADDER = (64, 128, 256, 512, 1024, 2048, 4096)
 
 @lru_cache(maxsize=None)
 def _cos_intervals(N: int, degree: int, prec: int) -> tuple:
+    """Enclosures of the basis 1, C_1, ..., C_(degree-1), C_j = 2cos(j*pi/N)."""
     from mpmath import iv
 
     old = iv.prec
     try:
         iv.prec = prec
-        return tuple(iv.cos(iv.pi * j / N) for j in range(degree))
+        return (iv.mpf(1),) + tuple(2 * iv.cos(iv.pi * j / N) for j in range(1, degree))
     finally:
         iv.prec = old
 
 
 def sign_by_intervals(value: Scalar) -> int:
-    """Sign of a nonzero real field element sum(c_j * cos(j*pi/N)) / den from
-    outward mpmath interval sums, doubling the precision from 64 bits until
-    the enclosure excludes zero."""
+    """Sign of a nonzero field element (c_0 + sum(c_j * 2cos(j*pi/N))) / den
+    from outward mpmath interval sums, doubling the precision from 64 bits
+    until the enclosure excludes zero."""
     from mpmath import iv
 
     ctx = value.ctx

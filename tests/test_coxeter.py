@@ -321,9 +321,9 @@ def test_det_and_rank_against_independent_oracles():
 
 def test_graph_field_leaves_out_label_2():
     # cos(pi/2) = 0, so a commuting pair does not double the field: labels 101
-    # and 103 keep degree 10200 (N = 10403, odd) beside a label 2
+    # and 103 keep degree 5100 (N = 10403, odd) beside a label 2
     g = make_graph(["a", "b", "c"], [("a", "b", 101), ("b", "c", 103), ("a", "c", 2)])
-    assert field_of(g).degree == 10200
+    assert field_of(g).degree == 5100
     gram = gram_matrix(g)
     assert not gram[0][2] and not gram[2][0]
     assert gram[0][1]
@@ -423,11 +423,12 @@ def test_cartan_coefficients_realize_the_labels():
 
 def test_cartan_ring_is_int_or_the_smallest_cyclotomic_field():
     # the benchmark's graphs whose Gram fields have degree 96, 192, 144 and
-    # 1152 (labels other than 2) get Cartan rings of degree 24, 24, 144, 576
-    for name, degree in (("highdeg96", 24), ("highdeg1152", 576)):
+    # 1152 (labels other than 2) get Cartan rings of degree 12, 12, 72, 288:
+    # real subfields, of half the cyclotomic degree
+    for name, degree in (("highdeg96", 12), ("highdeg1152", 288)):
         g = parse_graph((DATA / f"{name}.graph").read_text())
         assert field_of(g).degree == degree, name
-    for labels, degree in (((3, 4, 5, 7), 24), ((2, 5, 7, 9), 144), ((8,), 4), ((10, 5), 4)):
+    for labels, degree in (((3, 4, 5, 7), 12), ((2, 5, 7, 9), 72), ((8,), 2), ((10, 5), 2)):
         names = "abcde"[: len(labels) + 1]
         g = make_graph(names, [(names[i], names[i + 1], m) for i, m in enumerate(labels)])
         assert field_of(g).degree == degree, labels

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,10 +17,15 @@ from artincenter.scalar import (
     field_context,
 )
 from helpers import (
+    CyclotomicField,
+    CyclotomicScalar,
     add_by_coefficients,
     complex_value,
     conj_by_power_table,
     cyclotomic_by_division,
+    cyclotomic_cos_pi_over,
+    cyclotomic_field_context,
+    embed,
     float_value,
     mul_by_schoolbook,
     reduce_by_dense_fold,
@@ -27,7 +33,9 @@ from helpers import (
     sign_by_intervals,
 )
 
-# N with field degrees from 1 to 1152; 2520 is the field of labels 5, 7, 8, 9.
+# N with cyclotomic degrees from 1 to 1152; 2520 is the field of labels 5, 7,
+# 8, 9.  The tests of cyclotomic behaviour (modulus, root powers, power table,
+# conjugation, realness, repr) run on the oracle in helpers, Q(zeta_2N).
 ORACLE_ORDERS = list(range(1, 31)) + [180, 420, 630, 2520]
 
 
@@ -48,7 +56,7 @@ def test_cyclotomic_matches_division_oracle():
 @pytest.mark.parametrize("N", ORACLE_ORDERS + [101, 303])
 def test_reduce_matches_dense_fold(N):
     rng = random.Random(N)
-    ctx = FieldContext(N)
+    ctx = CyclotomicField(N)
     d = ctx.degree
     lengths = [0, 1, d - 1, d, d + 1, 2 * d - 1] + [rng.randrange(2 * d) for _ in range(4)]
     for length in lengths:
@@ -58,7 +66,7 @@ def test_reduce_matches_dense_fold(N):
 
 @pytest.mark.parametrize("N", ORACLE_ORDERS)
 def test_root_powers_match_power_table(N):
-    ctx = FieldContext(N)
+    ctx = CyclotomicField(N)
     table = ctx.power_table()
     assert len(table) == 2 * N
     for k in range(2 * N):
@@ -75,12 +83,15 @@ def test_cos_pi_over_is_built_once_per_field():
 
 
 def test_field_context_examples():
-    ctx = field_context([3])
+    ctx = cyclotomic_field_context([3])
     assert ctx.N == 3
     assert ctx.modulus == (1, -1, 1)  # x^2 - x + 1
-    ctx1 = field_context([])
+    ctx1 = cyclotomic_field_context([])
     assert ctx1.N == 1
     assert ctx1.modulus == (1, 1)  # x + 1
+    assert cyclotomic_field_context([2, 3, 4]).N == 12
+    # the program's real field of the same labels
+    assert field_context([3]).N == 3 and field_context([]).N == 1
     assert field_context([2, 3, 4]).N == 12
 
 
@@ -90,10 +101,10 @@ def test_field_context_label_validation():
 
 
 def test_field_degree_guard():
-    # labels 101 and 103 give degree 10200, and a label 2 doubles N; the
-    # guard admits both
-    assert field_context([101, 103]).degree == 10200
-    assert field_context([101, 103, 2]).degree == 20400
+    # labels 101 and 103 give degree 5100 (phi(2N) = 10200), and a label 2
+    # doubles N; the guard admits both
+    assert field_context([101, 103]).degree == 5100
+    assert field_context([101, 103, 2]).degree == 10200
     # phi(2N) of 1000003 and of 127 * 131 * 137 is factored out; N = 10^9 is
     # refused on its size alone
     for labels in ([1000003], [127, 131, 137], [10**9], [2**200]):
@@ -162,9 +173,10 @@ def test_field_axioms_random(N):
 def test_int_operands_match_the_rational_path(N):
     # Scalar * int and int * Scalar scale the numerators directly; they must
     # give the canonical scalar that the embedded rational gives, keep
-    # realness and compare as before
+    # realness and compare as before (on the oracle, which has a realness
+    # flag; the program's int operands are in the embedding sweep)
     rng = random.Random(N)
-    ctx = field_context([N] if N >= 2 else [])
+    ctx = cyclotomic_field_context([N] if N >= 2 else [])
     values = [_random_scalar(rng, ctx) for _ in range(30)] + [ctx.zero, ctx.one]
     for a in values:
         for k in (-3, -1, 0, 1, 2, 4):
@@ -236,14 +248,16 @@ def test_rational_scalars_compare_by_value_across_fields():
     assert three.from_rational(3) != five.from_rational(Fraction(3, 2))
     c = cos_pi_over(5, five)
     assert c != three.from_rational(Fraction(1, 2)) and three.from_rational(Fraction(1, 2)) != c
-    assert c != cos_pi_over(5, field_context([5, 3]))  # the same number in Q(zeta_15)
+    assert c != cos_pi_over(5, field_context([5, 3]))  # the same number in Q(cos(pi/15))
 
 
 def test_repr_of_a_field_element():
-    assert repr(cos_pi_over(5, field_context([5]))) == "Scalar((1 + 1*z^2 - 1*z^3)/2, N=5)"
+    assert repr(cyclotomic_cos_pi_over(5, cyclotomic_field_context([5]))) == "Scalar((1 + 1*z^2 - 1*z^3)/2, N=5)"
+    # the program's real field: C_1 / 2
+    assert repr(cos_pi_over(5, field_context([5]))) == "Scalar((1*C1)/2, N=5)"
 
 
-# Every N up to 30, and the benchmark's fields of degree 24, 144 and 576
+# Every N up to 30, and the benchmark's fields of degree 12, 72 and 288
 SPARSE_ORDERS = list(range(1, 31)) + [45, 315, 1260]
 
 
@@ -277,17 +291,18 @@ def _operands(rng: random.Random, ctx: FieldContext) -> list[Scalar]:
 @pytest.mark.parametrize("N", SPARSE_ORDERS)
 def test_sparse_arithmetic_matches_schoolbook(N):
     # products over the nonzero terms, and sums, differences and negation
-    # mapped over the numerators, give the canonical scalar of the schoolbook
-    # product and of Fraction coefficient arithmetic
+    # mapped over the numerators, give the canonical scalar of Fraction
+    # coefficient arithmetic, and products embed as the schoolbook product
+    # of the embedded operands in Q(zeta_2N)
     rng = random.Random(f"sparse:{N}")
     ctx = FieldContext(N)
     values = _operands(rng, ctx)
     pairs = [(a, b) for a in values for b in values]
-    if ctx.degree > 24:
+    if ctx.degree > 12:
         # the dense-fold oracle walks the whole convolution: sample the pairs
-        pairs = rng.sample(pairs, 60 if ctx.degree <= 144 else 25)
+        pairs = rng.sample(pairs, 60 if ctx.degree <= 72 else 25)
     for a, b in pairs:
-        assert a * b == mul_by_schoolbook(a, b), (a, b)
+        assert embed(a * b) == mul_by_schoolbook(embed(a), embed(b)), (a, b)
         assert a + b == add_by_coefficients(a, b), (a, b)
         assert a - b == add_by_coefficients(a, b, -1), (a, b)
     for a in values:
@@ -295,8 +310,8 @@ def test_sparse_arithmetic_matches_schoolbook(N):
         assert a.nonzero_terms() == tuple((j, c) for j, c in enumerate(a.nums) if c)
         for q in (0, 1, -1, 3, Fraction(-2, 3), Fraction(5, 6)):
             q_scalar = scalar_from_fractions(ctx, [Fraction(q)] + [Fraction(0)] * (ctx.degree - 1))
-            times = mul_by_schoolbook(a, q_scalar)
-            assert a * q == times and q * a == times, (a, q)
+            times = mul_by_schoolbook(embed(a), embed(q_scalar))
+            assert embed(a * q) == times and embed(q * a) == times, (a, q)
             plus, minus = add_by_coefficients(a, q_scalar), add_by_coefficients(a, q_scalar, -1)
             assert a + q == plus and q + a == plus and a - q == minus and q - a == -minus, (a, q)
 
@@ -310,7 +325,75 @@ def test_schoolbook_oracle_flags_a_product_missing_its_last_term(monkeypatch):
     pairs = [(a, b) for a in values for b in values if a and b]
     full = Scalar.nonzero_terms
     monkeypatch.setattr(Scalar, "nonzero_terms", lambda self: full(self)[:-1])
-    assert all(a * b != mul_by_schoolbook(a, b) for a, b in pairs)
+    assert all(embed(a * b) != mul_by_schoolbook(embed(a), embed(b)) for a, b in pairs)
+
+
+# Every N up to 60, the benchmark's fields of degree 72 and 288 (N = 315 and
+# 1260), the field of labels 3, 5, 7, 11 (N = 1155, where N/3 = 385 passes
+# the degree 240 and C_385 folds) and that of labels 101 and 103
+EMBEDDING_ORDERS = list(range(1, 61)) + [315, 1155, 1260, 101 * 103]
+
+
+def _sparse_values(rng: random.Random, ctx: FieldContext, count: int) -> list[Scalar]:
+    """Rationals and elements of up to six terms at random indices, some over
+    a denominator other than 1, and for small degrees dense ones."""
+    d = ctx.degree
+    values = [ctx.from_rational(Fraction(-3, 4))]
+    for _ in range(count):
+        coeffs = [0] * d
+        for j in rng.sample(range(d), min(d, rng.randint(1, 6))):
+            coeffs[j] = rng.choice((-1, 1)) * rng.choice((1, 2, 5, 12, 10**20 + 1))
+        values.append(Scalar(ctx, tuple(coeffs), rng.choice((1, 1, 2, 9))))
+    if d <= 30:
+        values.append(Scalar(ctx, tuple(rng.randint(-9, 9) for _ in range(d)), 4))
+    return values
+
+
+@pytest.mark.parametrize("N", EMBEDDING_ORDERS)
+def test_real_field_matches_cyclotomic_embedding(N):
+    # sums, products, negation, int and Fraction operands, equality, hashing,
+    # cos_pi_over, the reduced C_k and signs of Q(cos(pi/N)) against the
+    # cyclotomic oracle Q(zeta_2N), through C_j -> zeta^j + zeta^-j
+    rng = random.Random(f"embed:{N}")
+    ctx, oracle = FieldContext(N), CyclotomicField(N)
+    big = ctx.degree > 200  # the oracle's dense moduli of N = 1155 and 10403
+    values = _sparse_values(rng, ctx, 2 if big else 6)
+    images = [embed(a) for a in values]
+    for (a, ea), (b, eb) in combinations(zip(values, images), 2):
+        assert embed(a + b) == ea + eb and embed(a - b) == ea - eb, (a, b)
+        assert embed(a * b) == ea * eb, (a, b)
+        assert (a == b) == (ea == eb), (a, b)
+    for a, ea in zip(values, images):
+        assert embed(-a) == -ea, a
+        for q in (0, 1, -3, Fraction(-2, 3), Fraction(5, 6)):
+            assert embed(a * q) == ea * q and embed(q * a) == ea * q, (a, q)
+            assert embed(a + q) == ea + q and embed(q - a) == q - ea, (a, q)
+            assert (a == q) == (ea == q), (a, q)
+        same = (a + values[-1]) - values[-1]
+        assert same == a and hash(same) == hash(a), a
+        assert a.sign() == ea.sign() == -(-a).sign(), a
+    for m in range(2, N + 1):
+        if N % m == 0:
+            assert embed(cos_pi_over(m, ctx)) == cyclotomic_cos_pi_over(m, oracle), m
+    ks = range(2 * N) if N <= 60 else rng.sample(range(2 * N), 4 if big else 40)
+    for k in ks:
+        c_k = Scalar(ctx, ctx.reduce([0] * k + [1] if k else [2]), 1)
+        assert embed(c_k) == oracle.root_power(k) + oracle.root_power(-k), k
+
+
+def test_field_relation_against_sympy_minimal_polynomial():
+    # 2cos(pi/N) = C_1 has degree D over Q, and its minimal polynomial
+    # vanishes at C_1 in the program's arithmetic, products and fold included
+    x = sympy.Symbol("x")
+    for N in range(1, 61):
+        ctx = FieldContext(N)
+        poly = sympy.Poly(sympy.minimal_polynomial(2 * sympy.cos(sympy.pi / N), x), x)
+        assert poly.degree() == ctx.degree, N
+        c1 = 2 * cos_pi_over(N, ctx) if N > 1 else ctx.from_rational(-2)
+        value = ctx.zero
+        for c in poly.all_coeffs():
+            value = value * c1 + int(c)
+        assert not value, N
 
 
 @pytest.mark.parametrize("N", SPARSE_ORDERS)
@@ -318,39 +401,39 @@ def test_conjugation_matches_power_table(N):
     # mirroring the terms below x^N and reducing once gives the canonical
     # conjugate, and decides realness, as the table of all 2N root powers does
     rng = random.Random(f"conj:{N}")
-    ctx = FieldContext(N)
+    ctx = CyclotomicField(N)
     values = _operands(rng, ctx)
     values += [a + conj_by_power_table(a) for a in values if not a.is_rational()]
     for a in values:
         image = conj_by_power_table(a)
         assert a.conj() == image, a
-        assert Scalar(ctx, a.nums, a.den).is_real == (image == a), a
+        assert CyclotomicScalar(ctx, a.nums, a.den).is_real == (image == a), a
 
 
 def test_conjugation_oracle_flags_a_conjugate_negating_its_constant_term(monkeypatch):
     rng = random.Random(7)
-    ctx = FieldContext(45)
+    ctx = CyclotomicField(45)
     values = _operands(rng, ctx)
-    full = Scalar.conj
+    full = CyclotomicScalar.conj
 
     def mutant(self):  # maps c*x^0 to -c*x^0
         return full(self) - Fraction(2 * self.nums[0], self.den)
 
-    monkeypatch.setattr(Scalar, "conj", mutant)
+    monkeypatch.setattr(CyclotomicScalar, "conj", mutant)
     flagged = [a.conj() != conj_by_power_table(a) for a in values]
     assert flagged == [bool(a.nums[0]) for a in values] and any(flagged)
 
 
 def test_realness_of_a_root_builds_no_power_table():
     # degree 10200: the table of all 2N root powers would hold 2 * 10^8 entries
-    ctx = FieldContext(101 * 103)
+    ctx = CyclotomicField(101 * 103)
     assert not ctx.root_power(1).is_real
     assert ctx._power_table is None
 
 
 def test_conjugation_is_multiplicative():
     rng = random.Random(5)
-    ctx = field_context([12])
+    ctx = cyclotomic_field_context([12])
     for _ in range(25):
         a, b = _random_scalar(rng, ctx), _random_scalar(rng, ctx)
         assert (a * b).conj() == a.conj() * b.conj()
@@ -359,8 +442,8 @@ def test_conjugation_is_multiplicative():
 
 def test_real_closure():
     rng = random.Random(9)
-    ctx = field_context([5])
-    reals = [cos_pi_over(5, ctx), ctx.from_rational(Fraction(3, 7)), ctx.one]
+    ctx = cyclotomic_field_context([5])
+    reals = [cyclotomic_cos_pi_over(5, ctx), ctx.from_rational(Fraction(3, 7)), ctx.one]
     for _ in range(10):
         a, b = rng.choice(reals), rng.choice(reals)
         assert (a + b).is_real and (a * b).is_real
@@ -368,7 +451,7 @@ def test_real_closure():
 
 
 def test_realness_flag_matches_conjugation():
-    ctx = field_context([4])
+    ctx = cyclotomic_field_context([4])
     root = ctx.root_power(1)  # primitive 8th root: not real
     assert not root.is_real
     assert (root + root.conj()).is_real
@@ -376,10 +459,10 @@ def test_realness_flag_matches_conjugation():
 
 def test_sign_properties():
     rng = random.Random(3)
-    ctx = field_context([5])
+    ctx = cyclotomic_field_context([5])
     assert ctx.zero.sign() == 0
-    assert (cos_pi_over(3, field_context([3])) - Fraction(1, 2)).sign() == 0
-    golden = 2 * cos_pi_over(5, ctx) - 1
+    assert (cyclotomic_cos_pi_over(3, cyclotomic_field_context([3])) - Fraction(1, 2)).sign() == 0
+    golden = 2 * cyclotomic_cos_pi_over(5, ctx) - 1
     assert golden.sign() == 1
     for _ in range(30):
         a = _random_scalar(rng, ctx)
@@ -392,7 +475,7 @@ def test_sign_properties():
 
 
 def test_sign_requires_real():
-    ctx = field_context([4])
+    ctx = cyclotomic_field_context([4])
     with pytest.raises(ValueError):
         ctx.root_power(1).sign()
 
@@ -408,8 +491,8 @@ def test_sign_distinguishes_close_values():
 
 
 def test_numeric_views():
-    ctx = field_context([5])
-    c = cos_pi_over(5, ctx)
+    ctx = cyclotomic_field_context([5])
+    c = cyclotomic_cos_pi_over(5, ctx)
     assert abs(float_value(c) - math.cos(math.pi / 5)) < 1e-14
     z = ctx.root_power(1)
     expected = complex(math.cos(math.pi / 5), math.sin(math.pi / 5))
@@ -478,7 +561,9 @@ def _near_rational(value, bits):
 
     with mpmath.workprec(bits + 64):
         angle = mpmath.pi / value.ctx.N
-        total = mpmath.fsum(c * mpmath.cos(j * angle) for j, c in enumerate(value.nums) if c)
+        total = value.nums[0] + mpmath.fsum(
+            2 * c * mpmath.cos(j * angle) for j, c in enumerate(value.nums) if c and j
+        )
         return Fraction(int(mpmath.nint(total / value.den * mpmath.mpf(2) ** bits)), 2**bits)
 
 
@@ -520,8 +605,8 @@ def test_double_rung_agrees_with_interval_ladder(N, monkeypatch):
 
 @pytest.mark.parametrize("N", ORACLE_ORDERS)
 def test_signs_agree_with_interval_oracle(N):
-    # random integer sums of cosines cos(k*pi/N) = (z^k + z^-k) / 2, real by
-    # construction, some shifted by a rational to within 2^-116 of zero
+    # random integer sums of cosines cos(k*pi/N) = C_k / 2, any k < 2N, some
+    # shifted by a rational to within 2^-116 of zero
     pytest.importorskip("mpmath")
     rng = random.Random(1000 + N)
     ctx = FieldContext(N)
@@ -529,8 +614,7 @@ def test_signs_agree_with_interval_oracle(N):
         a = ctx.zero
         for _ in range(rng.randint(1, 5)):
             k = rng.randrange(2 * N)
-            a = a + (ctx.root_power(k) + ctx.root_power(-k)) * rng.randint(-9, 9)
-        a = Scalar(ctx, a.nums, a.den, real=True)
+            a = a + Scalar(ctx, ctx.reduce([0] * k + [1] if k else [2]), 2) * rng.randint(-9, 9)
         if rng.random() < 0.5 and not a.is_rational():
             a = a - _near_rational(a, 116)
         if a.is_rational():
