@@ -29,7 +29,9 @@ def analyze_dir(directory: str, as_json: bool, analyze_one, dumps, envelope) -> 
     # pathlib's suffix rule read off the strings: a child's name or suffix
     # would intern its name (Python 3.13 parses the children on demand)
     children = map(str, Path(directory).iterdir())
-    paths = sorted(p for p in children if p.endswith(".graph") and len(os.path.basename(p)) > 6)
+    paths = sorted(
+        p for p in children if p.endswith(".graph") and len(os.path.basename(p)) > len(".graph")
+    )
     if not paths:
         print(f"no .graph files in {directory}", file=sys.stderr)
         return 1

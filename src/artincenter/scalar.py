@@ -272,8 +272,10 @@ class FieldContext:
                     r = k % (2 * N)
                     if r > N:
                         r = 2 * N - r
-                    if r == N or not r:
-                        work[0] += -2 * c if r else 2 * c
+                    if r == N:
+                        work[0] -= 2 * c
+                    elif not r:
+                        work[0] += 2 * c
                     elif 2 * r > N:
                         work[N - r] -= c
                     elif 2 * r < N:
