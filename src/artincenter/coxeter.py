@@ -21,20 +21,22 @@ has the same root theory as the symmetric one: every root is a nonnegative
 or a nonpositive combination of simple roots, so equality of elements is
 equality of matrices, and the same descents and reduced words follow.
 
-Every element also carries its inverse matrix, because descent tests read
+An element w is one matrix, that of w^{-1}, because descent tests read
 columns of the inverse: a generator s descends w on the left exactly when
 w^{-1} maps the simple root of s to a negative root.  The sign of a root is
 the sign of its first nonzero coordinate: an int's own, or Scalar.sign.
 
 A product by one generator is a generator update in O(n * deg), touching
-only the generator's diagram neighbours: w * s negates column s and adds
-k(s, c) times column s to each neighbour column c; s * w negates row s and
+only the generator's diagram neighbours: M * s negates column s and adds
+k(s, c) times column s to each neighbour column c; s * M negates row s and
 adds k(s, c) times each neighbour row c to it.  A coefficient 1 adds
-without a product.  The inverse follows from (w * s)^-1 = s * w^-1.  theta,
-the greedy strip behind reduced words and coset splits, and
-longest_element use only generator updates, and the strip updates the
-inverse alone, since (s * w)^-1 = w^-1 * s.  The dense n^3 product is left
-for products of two general elements.
+without a product.  As (w * s)^-1 = s * w^-1, theta appends a letter by a
+row update; as (s * w)^-1 = w^-1 * s, the greedy strip behind reduced words
+and coset splits takes one off by a column update, and longest_element puts
+one on the same way.  w's own matrix is the one its inverse holds, built
+from the reduced word reversed; right descents are the left descents of
+w^-1.
+The dense n^3 product is left for products of two general elements.
 
 The symmetric Gram form, -cos(pi/m) off the diagonal, is kept only as the
 reference that the diagram classification is tested against; it has its
@@ -169,37 +171,34 @@ def _generator_times(mat: Matrix, s: int, nbrs: Neighbours) -> Matrix:
 
 
 class CoxeterElement:
-    """Group element as a reflection-representation matrix plus its inverse.
+    """Group element w held as the reflection-representation matrix of w^-1.
 
-    Instances are only created by this module (identity, generators, products),
-    which keeps the matrices inside the image of the representation.
+    Descents, reduced words and coset splits read only this matrix; w's own
+    matrix is inverse().inv.  Instances are only created by this module
+    (identity, generators, products), which keeps the matrices inside the
+    image of the representation.
     """
 
-    __slots__ = ("graph", "mat", "inv", "_word")
+    __slots__ = ("graph", "inv", "_word")
 
-    def __init__(self, graph: DefiningGraph, mat: Matrix, inv: Matrix):
+    def __init__(self, graph: DefiningGraph, inv: Matrix):
         self.graph = graph
-        self.mat = mat
         self.inv = inv
         self._word: tuple[str, ...] | None = None
 
     def __eq__(self, other):
         if not isinstance(other, CoxeterElement):
             return NotImplemented
-        return self.graph == other.graph and self.mat == other.mat
+        return self.graph == other.graph and self.inv == other.inv
 
     def __hash__(self):
-        return hash(self.mat)
+        return hash(self.inv)
 
     def __mul__(self, other: "CoxeterElement") -> "CoxeterElement":
+        """(w * u)^-1 = u^-1 * w^-1, one dense product."""
         if self.graph != other.graph:
             raise ValueError("elements of different Coxeter groups")
-        ring = field_of(self.graph)
-        return CoxeterElement(
-            self.graph,
-            _mat_mul(self.mat, other.mat, ring),
-            _mat_mul(other.inv, self.inv, ring),
-        )
+        return CoxeterElement(self.graph, _mat_mul(other.inv, self.inv, field_of(self.graph)))
 
     def __pow__(self, k: int) -> "CoxeterElement":
         base = self if k >= 0 else self.inverse()
@@ -213,18 +212,16 @@ class CoxeterElement:
         return out
 
     def inverse(self) -> "CoxeterElement":
-        return CoxeterElement(self.graph, self.inv, self.mat)
+        """w^-1, whose matrix is w's: the image of the reduced word reversed."""
+        return theta(self.graph, [(v, 1) for v in reversed(self.reduced_word())])
 
     def times_generator(self, v: str) -> "CoxeterElement":
-        """self * s_v, by generator updates: (w * s)^-1 = s * w^-1."""
+        """self * s_v, by one row update: (w * s)^-1 = s * w^-1."""
         s = self.graph.index(v)
-        nbrs = _neighbours(self.graph)[s]
-        return CoxeterElement(
-            self.graph, _times_generator(self.mat, s, nbrs), _generator_times(self.inv, s, nbrs)
-        )
+        return CoxeterElement(self.graph, _generator_times(self.inv, s, _neighbours(self.graph)[s]))
 
     def is_identity(self) -> bool:
-        return self.mat == identity(self.graph).mat
+        return self.inv == identity(self.graph).inv
 
     def __repr__(self):
         return f"CoxeterElement({' '.join(self.reduced_word()) or '1'})"
@@ -244,14 +241,13 @@ class CoxeterElement:
         """True iff multiplying by the generator v on the left shortens the element."""
         return self._column_is_negative(self.inv, self.graph.index(v))
 
-    def has_right_descent(self, v: str) -> bool:
-        return self._column_is_negative(self.mat, self.graph.index(v))
-
     def left_descents(self) -> tuple[str, ...]:
         return tuple(v for v in self.graph.vertices if self.has_left_descent(v))
 
     def right_descents(self) -> tuple[str, ...]:
-        return tuple(v for v in self.graph.vertices if self.has_right_descent(v))
+        """The generators v with length(w * s_v) < length(w): the left
+        descents of w^-1."""
+        return self.inverse().left_descents()
 
     def reduced_word(self) -> tuple[str, ...]:
         """Canonical reduced word: greedily strip the declaration-order-smallest
@@ -273,29 +269,27 @@ class CoxeterElement:
 
 
 def identity(g: DefiningGraph) -> CoxeterElement:
-    mat = _identity_matrix(field_of(g), len(g.vertices))
-    return CoxeterElement(g, mat, mat)
+    return CoxeterElement(g, _identity_matrix(field_of(g), len(g.vertices)))
 
 
 def simple_reflection(g: DefiningGraph, v: str) -> CoxeterElement:
     """Reflection matrix of a generator: alpha_v -> -alpha_v and
-    alpha_u -> alpha_u + k(v, u) alpha_v for u != v."""
+    alpha_u -> alpha_u + k(v, u) alpha_v for u != v; an involution, so it is
+    also the matrix of the inverse."""
     s = g.index(v)
-    mat = _times_generator(identity(g).mat, s, _neighbours(g)[s])
-    return CoxeterElement(g, mat, mat)
+    return CoxeterElement(g, _times_generator(identity(g).inv, s, _neighbours(g)[s]))
 
 
 def theta(g: DefiningGraph, word: "ArtinWord | Iterable[tuple[str, int]]") -> CoxeterElement:
     """Image of an Artin word in the Coxeter group (exponent signs collapse),
-    one generator update per letter."""
+    one row update per letter: (w * s)^-1 = s * w^-1."""
     letters = getattr(word, "letters", word)
     neighbours = _neighbours(g)
-    mat = inv = identity(g).mat
+    inv = identity(g).inv
     for v, _exp in letters:
         s = g.index(v)
-        mat = _times_generator(mat, s, neighbours[s])
         inv = _generator_times(inv, s, neighbours[s])
-    return CoxeterElement(g, mat, inv)
+    return CoxeterElement(g, inv)
 
 
 class CosetDecomposition(NamedTuple):
@@ -309,11 +303,8 @@ class CosetDecomposition(NamedTuple):
 
 def _strip(w: CoxeterElement, among: Sequence[str]) -> tuple[tuple[str, ...], Matrix]:
     """Greedily strip the first left descent among the given generators until
-    none is left; returns the stripped letters and the remainder's inverse.
-
-    Left descents read only the inverse, and (s * w)^-1 = w^-1 * s, so the
-    strip updates the inverse alone.
-    """
+    none is left; returns the stripped letters and the remainder's matrix,
+    one column update per letter: (s * w)^-1 = w^-1 * s."""
     g = w.graph
     neighbours = _neighbours(g)
     order = [(v, g.index(v)) for v in among]
@@ -337,21 +328,15 @@ def coset_decompose(u: CoxeterElement, subset: Iterable[str]) -> CosetDecomposit
     The stripped letters are the canonical reduced word of the subgroup part:
     for X-reduced w and v in W_X, the left descents of v * w inside X are
     exactly those of v, and the subset comes in declaration order, so both
-    greedy strips take the same letters.  The strip yields the reduced
-    part's inverse; replaying its letters as row updates gives the matrix.
+    greedy strips take the same letters.  The strip yields the reduced part's
+    matrix, and the subgroup part is the image of the stripped letters.
     """
     g = u.graph
     x_set = g.subset(subset)
     letters, inv = _strip(u, x_set)
-    neighbours = _neighbours(g)
-    mat = u.mat
-    v_part = identity(g)
-    for x in letters:
-        s = g.index(x)
-        mat = _generator_times(mat, s, neighbours[s])
-        v_part = v_part.times_generator(x)
+    v_part = theta(g, [(x, 1) for x in letters])
     v_part._word = letters
-    return CosetDecomposition(v_part, CoxeterElement(g, mat, inv), x_set)
+    return CosetDecomposition(v_part, CoxeterElement(g, inv), x_set)
 
 
 # -- Gram form: the reference the diagram classification is tested against ----
@@ -448,19 +433,23 @@ def coxeter_number(g: DefiningGraph) -> int:
 
 
 def longest_element(g: DefiningGraph) -> CoxeterElement:
-    """The maximal-length element, reached by greedily appending the smallest
-    generator that still increases length."""
+    """The maximal-length element, reached by greedily prepending the smallest
+    generator that is not a left descent, so still increases length, until
+    every generator is one."""
     if not is_spherical(g):
         raise ValueError("longest element requires a spherical graph")
+    neighbours = _neighbours(g)
     w = identity(g)
     while True:
-        v = next((v for v in g.vertices if not w.has_right_descent(v)), None)
+        v = next((v for v in g.vertices if not w.has_left_descent(v)), None)
         if v is None:
             return w
-        w = w.times_generator(v)
+        s = g.index(v)
+        w = CoxeterElement(g, _times_generator(w.inv, s, neighbours[s]))
 
 
 def is_minus_identity(w: CoxeterElement) -> bool:
     zero, one = _zero_one(field_of(w.graph))
     n = len(w.graph.vertices)
-    return w.mat == tuple(tuple(-one if i == j else zero for j in range(n)) for i in range(n))
+    # -1 is its own inverse
+    return w.inv == tuple(tuple(-one if i == j else zero for j in range(n)) for i in range(n))

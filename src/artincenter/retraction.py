@@ -11,13 +11,16 @@ realization need not keep root lengths, so the multiple may differ from 1).
 So the letter survives as x, with its original sign, exactly when column s
 of w's matrix has a single nonzero entry and it lies in the row of some x
 in X, and w is then unchanged; otherwise the letter vanishes and w becomes
-w * s, one generator update.  Plain retraction needs no coset split, no
-sign and no inverse matrix.
+w * s, one generator update.  Plain retraction keeps w's own matrix, which
+the kernel's elements do not hold (they hold their inverses), and needs no
+coset split and no sign.
 
 The trace, built only when asked for, reads each letter off the coset split
 of w * s instead, whose subgroup part is s_x or the identity by the same
 lemma, and records the subgroup part of each prefix image and the reflection
-w s w^-1, so it checks the column test rather than repeating it.
+w s w^-1, so it checks the column test rather than repeating it.  Beside
+the element w it keeps w's own matrix as plain retraction does, updated
+when a letter vanishes, for the reflection w * (w * s)^-1.
 """
 
 from __future__ import annotations
@@ -38,11 +41,11 @@ from .graph import DefiningGraph
 from .words import ArtinWord
 
 
-def _conjugated_reflection(w: CoxeterElement, ws: CoxeterElement) -> CoxeterElement:
-    # w s w^-1 = (w * s) * w^-1; conjugates of involutions are involutions, so
-    # one matrix serves as both
-    mat = _mat_mul(ws.mat, w.inv, field_of(w.graph))
-    return CoxeterElement(w.graph, mat, mat)
+def _conjugated_reflection(w_mat: Matrix, ws: CoxeterElement) -> CoxeterElement:
+    # w s w^-1 = w * (w * s)^-1, from w's own matrix and the element w * s,
+    # which holds its inverse; a conjugate of an involution is an involution,
+    # so the product is also the matrix of its inverse
+    return CoxeterElement(ws.graph, _mat_mul(w_mat, ws.inv, field_of(ws.graph)))
 
 
 class RetractionStep(NamedTuple):
@@ -101,7 +104,7 @@ def retract(g: DefiningGraph, subset: Iterable[str], word: ArtinWord) -> ArtinWo
     letters = [(g.index(v), e) for v, e in word.letters]
     targets = {g.index(x): x for x in g.subset(subset)}
     neighbours = _neighbours(g)
-    w = identity(g).mat
+    w = identity(g).inv  # w's own matrix; the identity is its own inverse
     out = []
     for s, exponent in letters:
         x = _survivor(w, s, targets)
@@ -117,12 +120,14 @@ def retract_trace(
 ) -> RetractionTrace:
     """Full per-letter audit whose emitted letters concatenate to the retraction."""
     x_set = g.subset(subset)
+    neighbours = _neighbours(g)
     steps = []
     w_part = v_part = identity(g)
+    w_mat = w_part.inv  # w's own matrix, the identity's to start
     for pos, (vertex, exponent) in enumerate(word.letters):
         ws = w_part.times_generator(vertex)
         dec = coset_decompose(ws, x_set)
-        reflection = _conjugated_reflection(w_part, ws)
+        reflection = _conjugated_reflection(w_mat, ws)
         emitted = dec.subgroup_part.reduced_word()  # () or (x,), by Deodhar
         if emitted:
             # w * s = s_x * w, so the split's reduced part is w itself;
@@ -130,6 +135,8 @@ def retract_trace(
             v_part = v_part.times_generator(emitted[0])
         else:
             w_part = dec.reduced_part
+            s = g.index(vertex)
+            w_mat = _times_generator(w_mat, s, neighbours[s])
         steps.append(
             RetractionStep(
                 position=pos,

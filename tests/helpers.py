@@ -167,12 +167,16 @@ def dihedral_center_generator(m: int, gens: tuple[str, str] = ("s", "t")) -> Art
     return ArtinWord(((s, 1), (t, 1))) ** reps
 
 
-def bfs_enumerate(g: DefiningGraph, limit: int = 10000) -> dict[CoxeterElement, int]:
-    """All elements of a finite Coxeter group with their BFS distances from 1."""
+def bfs_enumerate(
+    g: DefiningGraph, limit: int = 10000, depth: int | None = None
+) -> dict[CoxeterElement, int]:
+    """All elements of a finite Coxeter group with their BFS distances from 1,
+    which are their lengths; with a depth, of any Coxeter group, the elements
+    of at most that length."""
     start = identity(g)
     dist = {start: 0}
     frontier = [start]
-    while frontier:
+    while frontier and (depth is None or dist[frontier[0]] < depth):
         new = []
         for w in frontier:
             for v in g.vertices:

@@ -9,6 +9,7 @@ from artincenter.analyzer import spherical_center_generator
 from artincenter.coxeter import (
     CoxeterElement,
     _generator_times,
+    _mat_mul,
     _neighbours,
     _times_generator,
     coset_decompose,
@@ -407,7 +408,9 @@ def _reflection_by_definition(g, v):
     n, s = len(g.vertices), g.index(v)
     rows = [tuple(one if r == c else zero for c in range(n)) for r in range(n)]
     rows[s] = tuple(-one if c == s else _cartan_by_definition(g, v, u) for c, u in enumerate(g.vertices))
-    return CoxeterElement(g, tuple(rows), tuple(rows))
+    # an involution: the matrix is also that of the inverse, which is what
+    # an element holds
+    return CoxeterElement(g, tuple(rows))
 
 
 def test_cartan_coefficients_realize_the_labels():
@@ -436,7 +439,7 @@ def test_cartan_ring_is_int_or_the_smallest_cyclotomic_field():
     for labels in ((2, 3, 2, 3, INF, 2, 3, 4, 6, INF), (6, 4, INF)):
         g = make_graph("abcde", [(u, v, m) for (u, v), m in zip(combinations("abcde", 2), labels) if m != INF])
         assert field_of(g) is int
-        assert {type(x) for row in theta(g, [(v, 1) for v in "abcdeedcba"]).mat for x in row} == {int}
+        assert {type(x) for row in theta(g, [(v, 1) for v in "abcdeedcba"]).inv for x in row} == {int}
 
 
 def test_one_field_context_per_n():
@@ -471,23 +474,28 @@ def test_kernel_caches_stay_bounded_over_many_graphs():
         assert info.currsize <= info.maxsize
 
 
-def _check_generator_updates(w, reflections):
+def _check_generator_updates(w, mat, reflections):
+    # w holds the matrix of w^-1, and mat is w's own matrix, from dense
+    # products; (w * s)^-1 = s * w^-1 and (s * w)^-1 = w^-1 * s
     g = w.graph
+    ring = field_of(g)
+    assert w.inverse().inv == mat
     for s, refl in enumerate(reflections):
         nbrs = _neighbours(g)[s]
         right, left = w * refl, refl * w
-        assert _times_generator(w.mat, s, nbrs) == right.mat
         assert _generator_times(w.inv, s, nbrs) == right.inv
-        assert _generator_times(w.mat, s, nbrs) == left.mat
         assert _times_generator(w.inv, s, nbrs) == left.inv
+        assert _times_generator(mat, s, nbrs) == _mat_mul(mat, refl.inv, ring)
+        assert _generator_times(mat, s, nbrs) == _mat_mul(refl.inv, mat, ring)
         assert w.times_generator(g.vertices[s]) == right
 
 
 def test_generator_updates_match_dense_products_on_small_graphs():
     # Every element of at most 4 letters on every graph with n <= 3 and labels
-    # 2..6 and inf, reached by dense products alone.  The set is closed under
-    # inverses and s * w = (w^-1 * s)^-1, so checking w * s on both matrices
-    # checks both updates on both matrices.
+    # 2..6 and inf, reached by dense products alone.  An element holds the
+    # matrix of its inverse, and the set is closed under inverses, so the
+    # held matrices are every element's matrix: checking w * s and s * w on
+    # them checks both updates on every matrix.
     for n in range(4):
         for g in all_graphs(n, (2, 3, 4, 5, 6, INF)):
             reflections = [_reflection_by_definition(g, v) for v in g.vertices]
@@ -499,11 +507,32 @@ def test_generator_updates_match_dense_products_on_small_graphs():
                     for s, refl in enumerate(reflections):
                         right = w * refl
                         nbrs = _neighbours(g)[s]
-                        assert _times_generator(w.mat, s, nbrs) == right.mat
                         assert _generator_times(w.inv, s, nbrs) == right.inv
+                        assert _times_generator(w.inv, s, nbrs) == (refl * w).inv
                         products.add(right)
                 layer = products - seen
                 seen = seen | layer
+
+
+def test_inverses_and_right_descents_match_their_definitions():
+    # Every element of at most 4 letters on every graph with n <= 3 and labels
+    # 2..6 and inf.  An element's inverse and right descents are derived from
+    # its reduced word; BFS distances up to 5 are the exact lengths of w and
+    # of w * s, and every product here is a dense one.
+    for n in range(4):
+        for g in all_graphs(n, (2, 3, 4, 5, 6, INF)):
+            one = identity(g)
+            reflections = [simple_reflection(g, v) for v in g.vertices]
+            dist = bfs_enumerate(g, depth=5)
+            for w, length in dist.items():
+                if length > 4:
+                    continue
+                inv = w.inverse()
+                assert w * inv == one and inv * w == one, (g, w)
+                assert inv.inverse() == w and w ** -1 == inv, (g, w)
+                assert inv.length() == length == w.length(), (g, w)
+                shorter = tuple(v for v, s in zip(g.vertices, reflections) if dist[w * s] < length)
+                assert w.right_descents() == shorter, (g, w)
 
 
 def test_generator_updates_match_dense_products_on_random_words():
@@ -513,9 +542,11 @@ def test_generator_updates_match_dense_products_on_random_words():
             g = random_graph(rng, n, (2, 3, 4, 5, 6, INF))
             reflections = [_reflection_by_definition(g, v) for v in g.vertices]
             w = identity(g)
+            mat = w.inv
             for v, _ in random_word(rng, g, 10).letters:
-                _check_generator_updates(w, reflections)
+                _check_generator_updates(w, mat, reflections)
                 w = w * reflections[g.index(v)]
+                mat = _mat_mul(mat, reflections[g.index(v)].inv, field_of(g))
 
 
 # -- the Cartan kernel against the symmetric one it replaced --------------------

@@ -1,7 +1,13 @@
 import random
 
 from artincenter import coxeter, retraction
-from artincenter.coxeter import coset_decompose, identity, simple_reflection, theta
+from artincenter.coxeter import (
+    coset_decompose,
+    identity,
+    longest_element,
+    simple_reflection,
+    theta,
+)
 from artincenter.graph import INF, make_graph
 from artincenter.retraction import retract, retract_trace
 from artincenter.words import ArtinWord, parse_word
@@ -218,10 +224,14 @@ def test_one_generator_paths_make_no_dense_product(monkeypatch):
         for _ in range(20):
             x_set, w = random_subset(rng, g), random_word(rng, g, rng.randrange(0, 16))
             retract(g, x_set, w)
-            theta(g, w).reduced_word()
-            dec = coset_decompose(theta(g, w), x_set)
+            image = theta(g, w)
+            image.reduced_word()
+            image.right_descents()
+            image.inverse().is_identity()
+            dec = coset_decompose(image, x_set)
             dec.subgroup_part.reduced_word()
             dec.reduced_part.reduced_word()
+    longest_element(TRI).reduced_word()
 
 
 def test_unknown_vertices_rejected():
