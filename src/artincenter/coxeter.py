@@ -1,41 +1,19 @@
 """The Coxeter group of a defining graph, with an exact word problem.
 
-Elements are matrices of a reflection representation acting on the simple
-root basis.  The representation is a Cartan realization (Vinberg, Izv. Akad.
-Nauk SSSR 35 (1971); Kac, Infinite dimensional Lie algebras, Prop. 3.13):
-the generator s maps alpha_s to -alpha_s and each other alpha_c to
-alpha_c + k(s, c) alpha_s, where k(s, c) is nonzero exactly when c is a
-neighbour of s in the Coxeter diagram (labels other than 2, infinity
-included), positive, and k(s, c) * k(c, s) = 4cos^2(pi/m_sc), which is 4
-for infinity.  The coefficients need not be symmetric; for s declared
-before c:
-- labels 3, 4, 6 and infinity give k(s, c) = 1 and k(c, s) = 1, 2, 3, 4;
-- an odd m gives 2cos(pi/m) both ways;
-- an even m gives k(s, c) = 1 and k(c, s) = 2 + 2cos(2pi/m).
-So a graph whose labels all lie in {2, 3, 4, 6, infinity} has matrices of
-plain Python ints and needs no field arithmetic.  Otherwise the entries lie
-in the real field Q(cos(pi/N)), N the lcm of the other labels with the even
-ones halved (see field_of), where 2cos(pi/m) is the basis element C_(N/m)
-when N/m is below the field's degree.  Such a realization is faithful and
-has the same root theory as the symmetric one: every root is a nonnegative
-or a nonpositive combination of simple roots, so equality of elements is
-equality of matrices, and the same descents and reduced words follow.
+Elements are matrices of the reflection representation acting on the simple
+root basis, through the Cartan realization of ``cartan``, which also holds
+the generator updates, the neighbour table and the ring of the entries.
 
 An element w is one matrix, that of w^{-1}, because descent tests read
 columns of the inverse: a generator s descends w on the left exactly when
 w^{-1} maps the simple root of s to a negative root.  The sign of a root is
 the sign of its first nonzero coordinate: an int's own, or Scalar.sign.
 
-A product by one generator is a generator update in O(n * deg), touching
-only the generator's diagram neighbours: M * s negates column s and adds
-k(s, c) times column s to each neighbour column c; s * M negates row s and
-adds k(s, c) times each neighbour row c to it.  A coefficient 1 adds
-without a product.  As (w * s)^-1 = s * w^-1, theta appends a letter by a
-row update; as (s * w)^-1 = w^-1 * s, the greedy strip behind reduced words
-and coset splits takes one off by a column update, and longest_element puts
-one on the same way.  w's own matrix is the one its inverse holds, built
-from the reduced word reversed; right descents are the left descents of
-w^-1.
+As (w * s)^-1 = s * w^-1, theta appends a letter by a row update; as
+(s * w)^-1 = w^-1 * s, the greedy strip behind reduced words and coset
+splits takes one off by a column update, and longest_element puts one on
+the same way.  w's own matrix is the one its inverse holds, built from the
+reduced word reversed; right descents are the left descents of w^-1.
 The dense n^3 product is left for products of two general elements.
 
 The symmetric Gram form, -cos(pi/m) off the diagonal, is kept only as the
@@ -45,56 +23,29 @@ own field, because cos(pi/m) for an even m is not in Q(cos(2pi/m)).
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+
+from .cartan import (
+    Matrix,
+    Ring,
+    _generator_times,
+    _identity_matrix,
+    _neighbours,
+    _times_generator,
+    _zero_one,
+    field_of,
+)
 
 # The diagram classification lives in diagram; coxeter keeps the names
 # is_spherical and is_affine for its callers.
-from .diagram import _diagram, is_affine, is_spherical
-from .graph import INF, MAX_VERTICES, DefiningGraph
+from .diagram import is_affine, is_spherical
+from .graph import DefiningGraph
 
 if TYPE_CHECKING:
     from .scalar import FieldContext, Scalar
     from .words import ArtinWord
 
-# A matrix holds ints over the int ring and Scalars over a field
-Matrix = tuple[tuple["int | Scalar", ...], ...]
-# int, or the field of the non-crystallographic labels
-Ring = Union[type, "FieldContext"]
-
 MAX_COXETER_ORDER_STEPS = 10**5
-
-# 4cos^2(pi/m) for the labels whose Cartan coefficients are ints
-_INTEGRAL = {3: 1, 4: 2, 6: 3, INF: 4}
-
-
-def field_of(g: DefiningGraph) -> Ring:
-    """The ring of the graph's Cartan coefficients.
-
-    int when every label lies in {2, 3, 4, 6, infinity}.  Otherwise the real
-    field Q(cos(pi/N)), of degree phi(2N)/2, N the lcm of the other labels
-    with the even ones halved: it holds 2cos(pi/m) for an odd m and
-    cos(2pi/m) = cos(pi/(m/2)) for an even m.  Every matrix is built over a
-    ring from here, so the vertex guard is here.
-    """
-    n = len(g.vertices)
-    if n > MAX_VERTICES:
-        raise ValueError(f"graph has {n} vertices; kernel guard is {MAX_VERTICES}")
-    labels = [m if m % 2 else m // 2 for m in g.finite_labels() if m != 2 and m not in _INTEGRAL]
-    if not labels:
-        return int
-    from .scalar import field_context
-
-    return field_context(labels)
-
-
-def _zero_one(ring: Ring) -> tuple:
-    return (0, 1) if ring is int else (ring.zero, ring.one)
-
-
-def _identity_matrix(ring: Ring, n: int) -> Matrix:
-    zero, one = _zero_one(ring)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
 def _mat_mul(a: Matrix, b: Matrix, ring: Ring) -> Matrix:
@@ -112,62 +63,6 @@ def _mat_mul(a: Matrix, b: Matrix, ring: Ring) -> Matrix:
             row.append(acc)
         rows.append(tuple(row))
     return tuple(rows)
-
-
-# (c, k(s, c), k(s, c) == 1) for each neighbour c of a generator s in the
-# Coxeter diagram: the nonzero off-diagonal entries of row s of its
-# reflection, each with its unit flag, computed once per graph
-Neighbours = tuple[tuple[int, "int | Scalar", bool], ...]
-
-
-def _cartan(m, earlier: bool, ring: Ring):
-    """k(s, c) for a diagram edge of label m, with s declared before c or not."""
-    if m in _INTEGRAL:
-        return 1 if earlier else _INTEGRAL[m]
-    from .scalar import cos_pi_over
-
-    if m % 2:
-        return 2 * cos_pi_over(m, ring)
-    return 1 if earlier else 2 + 2 * cos_pi_over(m // 2, ring)
-
-
-# The kernel's one cache: a request asks for its graph's table many times, and
-# at degree 288 (labels 5, 7, 8, 9) a rebuild is 0.2 ms of field products.
-# A command uses one entry; the bound keeps a library loop over graphs flat.
-@lru_cache(maxsize=4)
-def _neighbours(g: DefiningGraph) -> tuple[Neighbours, ...]:
-    ring = field_of(g)
-    rows = []
-    for s, nbrs in enumerate(_diagram(g)):
-        coefficients = [(c, _cartan(m, s < c, ring)) for c, m in sorted(nbrs.items())]
-        rows.append(tuple((c, k, k == 1) for c, k in coefficients))
-    return tuple(rows)
-
-
-def _times_generator(mat: Matrix, s: int, nbrs: Neighbours) -> Matrix:
-    """mat * s: column s is negated and each neighbour column c gains
-    k(s, c) times column s."""
-    rows = []
-    for row in mat:
-        x = row[s]
-        if x:
-            new = list(row)
-            new[s] = -x
-            for c, a, unit in nbrs:
-                new[c] = new[c] + (x if unit else a * x)
-            row = tuple(new)
-        rows.append(row)
-    return tuple(rows)
-
-
-def _generator_times(mat: Matrix, s: int, nbrs: Neighbours) -> Matrix:
-    """s * mat: row s becomes -row s plus k(s, c) times each neighbour row c."""
-    new = [-x for x in mat[s]]
-    for c, a, unit in nbrs:
-        for j, y in enumerate(mat[c]):
-            if y:
-                new[j] = new[j] + (y if unit else a * y)
-    return mat[:s] + (tuple(new),) + mat[s + 1 :]
 
 
 class CoxeterElement:

@@ -13,38 +13,37 @@ of w's matrix has a single nonzero entry and it lies in the row of some x
 in X, and w is then unchanged; otherwise the letter vanishes and w becomes
 w * s, one generator update.  Plain retraction keeps w's own matrix, which
 the kernel's elements do not hold (they hold their inverses), and needs no
-coset split and no sign.
+coset split and no sign, so it loads only the Cartan realization
+(``cartan``): neither the group elements (``coxeter``) nor the diagram
+classification.
 
 The trace, built only when asked for, reads each letter off the coset split
 of w * s instead, whose subgroup part is s_x or the identity by the same
 lemma, and records the subgroup part of each prefix image and the reflection
 w s w^-1, so it checks the column test rather than repeating it.  Beside
 the element w it keeps w's own matrix as plain retraction does, updated
-when a letter vanishes, for the reflection w * (w * s)^-1.
+when a letter vanishes, for the reflection w * (w * s)^-1.  The trace
+imports ``coxeter`` when it runs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .coxeter import (
-    CoxeterElement,
-    Matrix,
-    _mat_mul,
-    _neighbours,
-    _times_generator,
-    coset_decompose,
-    field_of,
-    identity,
-)
+from .cartan import Matrix, _identity_matrix, _neighbours, _times_generator, field_of
 from .graph import DefiningGraph
 from .words import ArtinWord
+
+if TYPE_CHECKING:
+    from .coxeter import CoxeterElement
 
 
 def _conjugated_reflection(w_mat: Matrix, ws: CoxeterElement) -> CoxeterElement:
     # w s w^-1 = w * (w * s)^-1, from w's own matrix and the element w * s,
     # which holds its inverse; a conjugate of an involution is an involution,
     # so the product is also the matrix of its inverse
+    from .coxeter import CoxeterElement, _mat_mul
+
     return CoxeterElement(ws.graph, _mat_mul(w_mat, ws.inv, field_of(ws.graph)))
 
 
@@ -104,7 +103,7 @@ def retract(g: DefiningGraph, subset: Iterable[str], word: ArtinWord) -> ArtinWo
     letters = [(g.index(v), e) for v, e in word.letters]
     targets = {g.index(x): x for x in g.subset(subset)}
     neighbours = _neighbours(g)
-    w = identity(g).inv  # w's own matrix; the identity is its own inverse
+    w = _identity_matrix(field_of(g), len(g.vertices))  # w's own matrix
     out = []
     for s, exponent in letters:
         x = _survivor(w, s, targets)
@@ -119,6 +118,8 @@ def retract_trace(
     g: DefiningGraph, subset: Iterable[str], word: ArtinWord
 ) -> RetractionTrace:
     """Full per-letter audit whose emitted letters concatenate to the retraction."""
+    from .coxeter import coset_decompose, identity
+
     x_set = g.subset(subset)
     neighbours = _neighbours(g)
     steps = []

@@ -921,6 +921,37 @@ def test_graph_commands_do_not_load_field_arithmetic(argv, expected, unloaded):
     assert expected in out
 
 
+# the group elements and the diagram classification: plain retract reads only
+# the Cartan realization's neighbour table and column updates
+KERNEL_MODULES = ("artincenter.coxeter", "artincenter.diagram")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["edge3.graph", "s", "t s t^-1 s"], "retraction: s^-1"),
+        ([CARTAN, "a,b,c", "c d b^-1 d^-1 a"], "retraction: c b^-1 a"),
+        (["highdeg96.graph", "x0,x1", "x0 x2 x1 x0^-1 x3 x1"], "retraction: x0 x1"),
+    ],
+    ids=["int", "cartan", "field"],
+)
+def test_plain_retract_loads_only_the_cartan_realization(argv, expected):
+    graph, *rest = argv
+    loaded_expr = f"[m for m in {KERNEL_MODULES + ('artincenter.cartan',)!r} if m in sys.modules]"
+    out, loaded = _fresh_run(["retract", DATA / graph, *rest], loaded_expr)
+    assert loaded == "['artincenter.cartan']"
+    assert expected in out
+
+
+def test_traced_retract_loads_the_coxeter_kernel():
+    # the control for the test above: the trace's coset splits and audit
+    # reflections are group elements
+    loaded_expr = f"[m for m in {KERNEL_MODULES!r} if m in sys.modules]"
+    out, loaded = _fresh_run(["retract", DATA / "edge3.graph", "s", "t s t^-1 s", "--trace"], loaded_expr)
+    assert "artincenter.coxeter" in loaded
+    assert "output: s^-1" in out
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
